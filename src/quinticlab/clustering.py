@@ -7,6 +7,9 @@ other (single linkage, ``scale = max(1, max|v|)``) belong to one cluster.  An
 instance is rejected as ambiguous when some inter-cluster gap comes within a
 factor 10 of the linking threshold, since the count would then depend on the
 tolerance choice.
+
+Inputs are orbit sweeps of at most 120 values, so the clusters are found on
+the dense pairwise-distance matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericFailureError
 
@@ -42,6 +43,22 @@ class ClusterResult:
         return len(self.centers)
 
 
+def _component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Smallest member index of each point's connected component.
+
+    Min-label propagation on the dense adjacency: every round replaces each
+    label by the smallest label among the point and its neighbours, until no
+    label changes.  Labels only decrease, so this ends; the number of rounds
+    is bounded by the longest chain of links within a component.
+    """
+    labels = np.arange(adjacency.shape[0])
+    while True:
+        nxt = np.where(adjacency, labels, labels[:, None]).min(axis=1)
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
 def cluster_values(values, tol: float = DEDUP_TOL) -> ClusterResult:
     """Cluster ``values`` with relative tolerance ``tol`` (floor 1e-10)."""
     vals = np.asarray(values, dtype=complex)
@@ -51,21 +68,16 @@ def cluster_values(values, tol: float = DEDUP_TOL) -> ClusterResult:
     threshold = max(float(tol), DEDUP_TOL_FLOOR) * scale
 
     dist = np.abs(vals[:, None] - vals[None, :])
-    adjacency = csr_matrix(dist <= threshold)
-    n_clusters, labels = connected_components(adjacency, directed=False)
-
-    first_index = np.full(n_clusters, vals.size, dtype=int)
-    for i, lab in enumerate(labels):
-        if i < first_index[lab]:
-            first_index[lab] = i
-    order = np.argsort(first_index)
-
-    centers = []
-    sizes = []
-    for lab in order:
-        members = vals[labels == lab]
-        centers.append(complex(members.mean()))
-        sizes.append(int(members.size))
+    labels = _component_labels(dist <= threshold)
+    # Labels are first-occurrence indices, so sorted unique labels give the
+    # clusters in order of first occurrence.
+    firsts, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    n_clusters = firsts.size
+    sums = np.bincount(inverse, weights=vals.real) + 1j * np.bincount(
+        inverse, weights=vals.imag
+    )
+    centers = [complex(z) for z in sums / counts]
+    sizes = [int(k) for k in counts]
 
     if n_clusters > 1:
         different = labels[:, None] != labels[None, :]

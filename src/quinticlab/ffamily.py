@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .clustering import DEDUP_TOL, ClusterResult, cluster_values
+from .clustering import DEDUP_TOL, cluster_values
 from .errors import InvalidInputError, NumericFailureError
 from .kernels import eval_f_rows
-from .permutations import Perm5, all_a5
+from .permutations import A5_IN_S5, S5_IMAGES, Perm5
 from .polynomials import as_root_tuple, is_degenerate
 
 __all__ = [
@@ -32,6 +31,8 @@ __all__ = [
     "f_family",
     "family_values_for_perms",
     "a5_orbit",
+    "orbit_from_sweep",
+    "family_labels",
     "relation_rank",
     "RANK_TOL",
 ]
@@ -46,6 +47,10 @@ FAMILY_PATTERNS = np.array(
 )
 
 _LABELS = ("f", "f0", "f1", "f2", "f3", "f4")
+# Labels of the signed targets (+family, -family) that orbit values match.
+_SIGNED_LABELS = tuple("+" + label for label in _LABELS) + tuple("-" + label for label in _LABELS)
+
+_A5_IMAGES = S5_IMAGES[A5_IN_S5]
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,11 @@ class FFamily:
     def values(self) -> tuple[complex, ...]:
         """(f, f_0, ..., f_4) in label order."""
         return (self.f, *self.fk)
+
+    @classmethod
+    def from_row(cls, row) -> "FFamily":
+        """The family stored as one row (f, f_0, ..., f_4) of a sweep."""
+        return cls(f=complex(row[0]), fk=tuple(complex(v) for v in row[1:6]))
 
 
 @dataclass(frozen=True)
@@ -101,8 +111,7 @@ def eval_f(roots: Sequence[complex]) -> complex:
 def f_family(roots: Sequence[complex]) -> FFamily:
     """f together with f_k = f(x_k, x_{k+3}, x_{k+4}, x_{k+1}, x_{k+2})."""
     rt = as_root_tuple(roots)
-    vals = eval_f_rows(rt, FAMILY_PATTERNS)
-    return FFamily(f=complex(vals[0]), fk=tuple(complex(v) for v in vals[1:]))
+    return FFamily.from_row(eval_f_rows(rt, FAMILY_PATTERNS))
 
 
 def family_values_for_perms(roots, perms: Sequence[Perm5]) -> np.ndarray:
@@ -118,13 +127,62 @@ def family_values_for_perms(roots, perms: Sequence[Perm5]) -> np.ndarray:
     return flat.reshape(len(perms), 6)
 
 
-def _signed_targets(fam: FFamily) -> tuple[list[complex], list[str]]:
-    targets, labels = [], []
-    for sign, tag in ((1.0, "+"), (-1.0, "-")):
-        for label, value in zip(_LABELS, fam.values()):
-            targets.append(sign * value)
-            labels.append(tag + label)
-    return targets, labels
+def family_labels(values, fam: FFamily, threshold: float) -> tuple[str, ...]:
+    """Signed family label (e.g. '+f', '-f3') of each of 12 orbit values.
+
+    Each value takes the label of its nearest signed family member.  Raises
+    :class:`NumericFailureError` when a value is farther than ``threshold``
+    from its nearest member, or when two values share one nearest member, so
+    that accepted labels are a bijection onto the 12 signed members.  The
+    orbit values are pairwise more than 10x ``threshold`` apart (the
+    clustering's ambiguity rule), so an accepted labeling is also the optimal
+    assignment of values to members.
+    """
+    vals = np.asarray(values, dtype=complex)
+    family = np.asarray(fam.values(), dtype=complex)
+    targets = np.concatenate([family, -family])
+    cost = np.abs(vals[:, None] - targets[None, :])
+    nearest = cost.argmin(axis=1)
+    if float(cost[np.arange(vals.size), nearest].max()) > threshold:
+        raise NumericFailureError(
+            "orbit values do not match the signed family within tolerance"
+        )
+    if np.unique(nearest).size != targets.size:
+        raise NumericFailureError(
+            "orbit values and signed family members do not match one to one"
+        )
+    return tuple(_SIGNED_LABELS[k] for k in nearest)
+
+
+def _orbit_report(evals: np.ndarray, fam: FFamily, tol: float) -> OrbitReport:
+    """Cluster the 60 even-relabeling values of f, pair signs, label them."""
+    clusters = cluster_values(evals, tol)
+    values = clusters.centers
+    if len(values) != 12:
+        raise NumericFailureError(
+            f"expected 12 orbit values, found {len(values)}; "
+            "instance is likely near-degenerate"
+        )
+    vals = np.asarray(values)
+    scale = max(1.0, float(np.abs(vals).max()))
+    index = np.arange(12)
+
+    # Sign pairing: each value must match the negation of exactly one other.
+    sums = np.abs(vals[:, None] + vals[None, :])
+    partner = sums.argmin(axis=1)
+    unpaired = np.flatnonzero((sums[index, partner] > clusters.threshold) | (partner == index))
+    if unpaired.size:
+        raise NumericFailureError(
+            f"orbit value {values[unpaired[0]]:.6g} has no negation partner within tolerance"
+        )
+    if np.any(partner[partner] != index):
+        raise NumericFailureError("sign pairing is not an involution")
+    pair_map = tuple((i, int(partner[i])) for i in range(12) if i < partner[i])
+
+    family_match = family_labels(values, fam, max(tol, 1e-10) * scale)
+    return OrbitReport(
+        values=values, pair_map=pair_map, family_match=family_match, degenerate=False
+    )
 
 
 def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
@@ -136,55 +194,22 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     pairing analysis.
     """
     rt = as_root_tuple(roots)
-    perms = all_a5()
-    images = np.array([p.image for p in perms], dtype=np.int64)
-    evals = eval_f_rows(rt, images)
-
+    evals = eval_f_rows(rt, _A5_IMAGES)
     if is_degenerate(rt):
         clusters = cluster_values(evals, tol)
         return OrbitReport(
             values=clusters.centers, pair_map=(), family_match=(), degenerate=True
         )
+    return _orbit_report(evals, f_family(rt), tol)
 
-    clusters: ClusterResult = cluster_values(evals, tol)
-    values = clusters.centers
-    if len(values) != 12:
-        raise NumericFailureError(
-            f"expected 12 orbit values, found {len(values)}; "
-            "instance is likely near-degenerate"
-        )
-    scale = max(1.0, max(abs(v) for v in values))
-    threshold = clusters.threshold
 
-    # Sign pairing: each value must match the negation of exactly one other.
-    partner = []
-    for i, v in enumerate(values):
-        dists = [abs(v + w) for w in values]
-        j = int(np.argmin(dists))
-        if dists[j] > threshold or j == i:
-            raise NumericFailureError(
-                f"orbit value {v:.6g} has no negation partner within tolerance"
-            )
-        partner.append(j)
-    if any(partner[partner[i]] != i for i in range(12)):
-        raise NumericFailureError("sign pairing is not an involution")
-    pair_map = tuple(
-        (i, partner[i]) for i in range(12) if i < partner[i]
-    )
+def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:
+    """:func:`a5_orbit` of a non-degenerate instance, read from its sweep.
 
-    # Optimal assignment of the 12 values to the 12 signed family members.
-    targets, labels = _signed_targets(f_family(rt))
-    cost = np.array([[abs(v - t) for t in targets] for v in values])
-    rows_idx, cols_idx = linear_sum_assignment(cost)
-    if float(cost[rows_idx, cols_idx].max()) > max(tol, 1e-10) * scale:
-        raise NumericFailureError(
-            "orbit values do not match the signed family within tolerance"
-        )
-    family_match = tuple(labels[c] for c in cols_idx[np.argsort(rows_idx)])
-
-    return OrbitReport(
-        values=values, pair_map=pair_map, family_match=family_match, degenerate=False
-    )
+    ``sweep`` is ``family_values_for_perms(roots, all_s5())``: column 0 at
+    the even rows is the orbit of f, and row 0 (the identity) is the family.
+    """
+    return _orbit_report(sweep[A5_IN_S5, 0], FFamily.from_row(sweep[0]), tol)
 
 
 def _rref(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 __all__ = [
@@ -25,6 +27,9 @@ __all__ = [
     "apply",
     "compose",
     "inverse",
+    "S5_IMAGES",
+    "S5_PARITY",
+    "A5_IN_S5",
 ]
 
 
@@ -71,6 +76,17 @@ _IDENTITY = Perm5((0, 1, 2, 3, 4))
 _S5 = tuple(Perm5(img) for img in itertools.permutations(range(5)))
 _A5 = tuple(p for p in _S5 if p.parity == 1)
 _THREE_CYCLES = tuple(p for p in _S5 if p.cycle_lengths() == (1, 1, 3))
+
+# Tables over the all_s5 order, for sweeps stored as arrays with one row per
+# permutation: the image arrays, each row's parity (by inversion count), and
+# the rows that form all_a5.
+S5_IMAGES = np.array([p.image for p in _S5], dtype=np.int64)
+_INVERSIONS = sum(S5_IMAGES[:, i] > S5_IMAGES[:, j] for i in range(5) for j in range(i + 1, 5))
+S5_PARITY = 1 - 2 * (_INVERSIONS % 2)
+A5_IN_S5 = np.flatnonzero(S5_PARITY == 1)
+S5_IMAGES.setflags(write=False)
+S5_PARITY.setflags(write=False)
+A5_IN_S5.setflags(write=False)
 
 
 def identity() -> Perm5:

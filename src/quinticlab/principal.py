@@ -27,7 +27,7 @@ import numpy as np
 from .clustering import DEDUP_TOL, cluster_values
 from .errors import DegenerateInstanceError, NumericFailureError, VerificationFailureError
 from .ffamily import FFamily, family_values_for_perms
-from .permutations import all_a5, all_s5, apply
+from .permutations import A5_IN_S5, all_a5, all_s5, apply
 from .polynomials import as_root_tuple, is_degenerate, poly_from_roots, power_sums
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "PowerSumCheck",
     "phi",
     "phi_values",
+    "phi_values_from_sweep",
     "phi_quintic",
     "power_sum_check",
     "newton_bridge_gaps",
@@ -105,14 +106,30 @@ def _phi_rows(fam_rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _phi_a5_values(roots, tol: float) -> tuple[complex, ...]:
-    sweep = _phi_rows(family_values_for_perms(roots, all_a5()))
-    clusters = cluster_values(sweep, tol)
+def _five_values(a5_phis: np.ndarray, tol: float) -> tuple[complex, ...]:
+    clusters = cluster_values(a5_phis, tol)
     if clusters.count != 5:
         raise NumericFailureError(
             f"expected 5 product values under even relabelings, found {clusters.count}"
         )
     return clusters.centers
+
+
+def _phi_a5_values(roots, tol: float) -> tuple[complex, ...]:
+    return _five_values(_phi_rows(family_values_for_perms(roots, all_a5())), tol)
+
+
+def phi_values_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> PhiFamily:
+    """:func:`phi_values` of a non-degenerate instance, read from its sweep.
+
+    ``sweep`` is ``family_values_for_perms(roots, all_s5())``; its even rows
+    give the five values and all 120 rows the count.
+    """
+    phis = _phi_rows(sweep)
+    return PhiFamily(
+        values=_five_values(phis[A5_IN_S5], tol),
+        s5_value_count=cluster_values(phis, tol).count,
+    )
 
 
 def phi_values(roots, tol: float = DEDUP_TOL) -> PhiFamily:
@@ -124,10 +141,7 @@ def phi_values(roots, tol: float = DEDUP_TOL) -> PhiFamily:
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("product values need distinct roots")
-    values = _phi_a5_values(rt, tol)
-    s5_sweep = _phi_rows(family_values_for_perms(rt, all_s5()))
-    s5_count = cluster_values(s5_sweep, tol).count
-    return PhiFamily(values=values, s5_value_count=s5_count)
+    return phi_values_from_sweep(family_values_for_perms(rt, all_s5()), tol)
 
 
 def _coeff_scales(values) -> list[float]:

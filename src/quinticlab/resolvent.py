@@ -16,6 +16,9 @@ has F-coefficients
 (derived by binomial expansion; note s0 is independent of c).  The expansion
 is triangular in (a, b, c): fitting uses s5, s3, s1 and the remaining three
 coefficients become genuine verification residuals.
+
+Sextic expansion and fit are array operations over rows, so one call covers a
+single family or all 120 relabelings of a sweep.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInstanceError, InvalidInputError
+from .errors import DegenerateInstanceError, InvalidInputError, NumericFailureError
 from .ffamily import FFamily, family_values_for_perms
-from .permutations import all_s5, compose
-from .polynomials import MonicPoly, as_root_tuple, is_degenerate, poly_from_roots
+from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY, all_s5
+from .polynomials import MonicPoly, as_root_tuple, is_degenerate
 
 __all__ = [
     "FitResiduals",
@@ -40,7 +43,17 @@ __all__ = [
     "resolvent_form_residual",
     "degree12_poly",
     "two_valuedness_check",
+    "two_valuedness_from_sweep",
 ]
+
+# Rows of a sweep in all_s5 order: the odd permutations, and for each row
+# sigma the row of tau o sigma, where tau is the first odd permutation.
+# compose(tau, sigma) has image sigma.image[tau.image].
+_ODD = np.flatnonzero(S5_PARITY == -1)
+_S5_INDEX = {tuple(image): k for k, image in enumerate(S5_IMAGES.tolist())}
+_TAU_PARTNER = np.array(
+    [_S5_INDEX[tuple(image)] for image in S5_IMAGES[:, S5_IMAGES[_ODD[0]]].tolist()]
+)
 
 
 @dataclass(frozen=True)
@@ -81,9 +94,39 @@ class TwoValuednessReport:
     pair_symmetric_spread: float
 
 
+def _sextic_rows(squares: np.ndarray) -> np.ndarray:
+    """Coefficients s5..s0 of prod_j (F - squares[:, j]), one row per row.
+
+    Expands column by column: each step multiplies every row's polynomial by
+    one more linear factor.
+    """
+    coeffs = np.zeros((squares.shape[0], 7), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for root in squares.T:
+        coeffs[:, 1:] = coeffs[:, 1:] - root[:, None] * coeffs[:, :-1]
+    return coeffs[:, 1:]
+
+
+def _fit_rows(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a, b, c, r4, r2, r0) for every row of sextic coefficients s5..s0.
+
+    Fits (a, b, c) from s5, s3, s1; r4, r2, r0 are the mismatches of s4, s2,
+    s0, each relative to max(1, |s_j|).
+    """
+    s5, s4, s3, s2, s1, s0 = coeffs.T
+    a = s5 / 10.0
+    b = (s3 - 60.0 * a**3) / 10.0
+    c = (s1 - 26.0 * a**5 - 30.0 * a**2 * b) / 4.0
+    r4 = np.abs(s4 - 35.0 * a**2) / np.maximum(1.0, np.abs(s4))
+    r2 = np.abs(s2 - 55.0 * a**4 - 30.0 * a * b) / np.maximum(1.0, np.abs(s2))
+    r0 = np.abs(s0 - 5.0 * a**6 - 10.0 * a**3 * b - 5.0 * b**2) / np.maximum(1.0, np.abs(s0))
+    return a, b, c, r4, r2, r0
+
+
 def sextic_from_family(fam: FFamily) -> MonicPoly:
     """Monic degree-6 polynomial with the six squared family values as roots."""
-    return poly_from_roots([v * v for v in fam.values()])
+    values = np.asarray(fam.values(), dtype=complex)
+    return MonicPoly(tuple(_sextic_rows((values * values)[None, :])[0]))
 
 
 def square_gap(fam: FFamily) -> float:
@@ -112,14 +155,15 @@ def fit_abc(sextic: MonicPoly) -> ResolventCoeffs:
     """
     if sextic.degree != 6:
         raise InvalidInputError(f"expected a sextic, got degree {sextic.degree}")
-    s5, s4, s3, s2, s1, s0 = sextic.coeffs
-    a = s5 / 10.0
-    b = (s3 - 60.0 * a**3) / 10.0
-    c = (s1 - 26.0 * a**5 - 30.0 * a**2 * b) / 4.0
-    r4 = abs(s4 - 35.0 * a**2) / max(1.0, abs(s4))
-    r2 = abs(s2 - 55.0 * a**4 - 30.0 * a * b) / max(1.0, abs(s2))
-    r0 = abs(s0 - 5.0 * a**6 - 10.0 * a**3 * b - 5.0 * b**2) / max(1.0, abs(s0))
-    return ResolventCoeffs(a=a, b=b, c=c, residuals=FitResiduals(r4=r4, r2=r2, r0=r0))
+    a, b, c, r4, r2, r0 = (
+        v[0] for v in _fit_rows(np.asarray(sextic.coeffs, dtype=complex)[None, :])
+    )
+    return ResolventCoeffs(
+        a=complex(a),
+        b=complex(b),
+        c=complex(c),
+        residuals=FitResiduals(r4=float(r4), r2=float(r2), r0=float(r0)),
+    )
 
 
 def eval_resolvent_form(F: complex, a: complex, b: complex, c: complex) -> complex:
@@ -169,15 +213,35 @@ def degree12_poly(coeffs: ResolventCoeffs) -> MonicPoly:
     return MonicPoly(tuple(out))
 
 
-def _triple_from_family_row(row: np.ndarray) -> tuple[complex, complex, complex]:
-    sextic = poly_from_roots([complex(v) ** 2 for v in row])
-    fit = fit_abc(sextic)
-    return (fit.a, fit.b, fit.c)
+def _rel_dev(rows: np.ndarray, ref: np.ndarray) -> float:
+    """Largest |rows - ref| relative to max(1, |ref|), over all entries."""
+    return float((np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))).max())
 
 
-def _rel_dev(t, ref) -> float:
-    return max(
-        abs(x - r) / max(1.0, abs(r)) for x, r in zip(t, ref)
+def two_valuedness_from_sweep(sweep: np.ndarray) -> TwoValuednessReport:
+    """Two-valuedness of (a, b, c), read from a sweep over all relabelings.
+
+    ``sweep`` is ``family_values_for_perms(roots, all_s5())``, shape (120, 6):
+    row p is the family of the tuple relabeled by ``all_s5()[p]``.
+    """
+    a, b, c, *_ = _fit_rows(_sextic_rows(sweep * sweep))
+    triples = np.stack([a, b, c], axis=1)
+    if not np.isfinite(triples).all():
+        raise NumericFailureError("fitted (a, b, c) are not finite")
+    even_ref = triples[0]  # identity labels come first in all_s5 order
+    odd_ref = triples[_ODD[0]]
+
+    # Symmetric functions of the unordered pair {triple(sigma), triple(tau o sigma)}
+    # for a fixed odd tau must not depend on sigma at all.
+    partners = triples[_TAU_PARTNER]
+    sym = np.concatenate([triples + partners, triples * partners], axis=1)
+
+    return TwoValuednessReport(
+        even_triple=tuple(complex(v) for v in even_ref),
+        odd_triple=tuple(complex(v) for v in odd_ref),
+        even_spread=_rel_dev(triples[A5_IN_S5], even_ref),
+        odd_spread=_rel_dev(triples[_ODD], odd_ref),
+        pair_symmetric_spread=_rel_dev(sym, sym[0]),
     )
 
 
@@ -186,42 +250,4 @@ def two_valuedness_check(roots) -> TwoValuednessReport:
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("two-valuedness needs distinct roots")
-
-    perms = all_s5()
-    fam_rows = family_values_for_perms(rt, perms)
-    triples = [_triple_from_family_row(row) for row in fam_rows]
-
-    even_idx = [i for i, p in enumerate(perms) if p.parity == 1]
-    odd_idx = [i for i, p in enumerate(perms) if p.parity == -1]
-    even_ref = triples[0]  # identity labels come first in all_s5 order
-    odd_ref = triples[odd_idx[0]]
-
-    even_spread = max(_rel_dev(triples[i], even_ref) for i in even_idx)
-    odd_spread = max(_rel_dev(triples[i], odd_ref) for i in odd_idx)
-
-    # Symmetric functions of the unordered pair {triple(sigma), triple(tau o sigma)}
-    # for a fixed odd tau must not depend on sigma at all.
-    index_of = {p.image: i for i, p in enumerate(perms)}
-    tau = perms[odd_idx[0]]
-
-    def sym_vector(i: int) -> tuple[complex, ...]:
-        j = index_of[compose(tau, perms[i]).image]
-        t, u = triples[i], triples[j]
-        out = []
-        for x, y in zip(t, u):
-            out.append(x + y)
-            out.append(x * y)
-        return tuple(out)
-
-    sym_ref = sym_vector(0)
-    pair_symmetric_spread = max(
-        _rel_dev(sym_vector(i), sym_ref) for i in range(len(perms))
-    )
-
-    return TwoValuednessReport(
-        even_triple=even_ref,
-        odd_triple=odd_ref,
-        even_spread=even_spread,
-        odd_spread=odd_spread,
-        pair_symmetric_spread=pair_symmetric_spread,
-    )
+    return two_valuedness_from_sweep(family_values_for_perms(rt, all_s5()))

@@ -3,8 +3,9 @@ collected into a machine-readable report with a stable schema.
 
 Per instance: orbit count and sign pairing, fit residuals of the resolvent
 form, two-valuedness spreads, principal-form suppressed coefficients, and
-power sums.  Per batch: the rank test on stacked family rows and the square-
-sum control fraction.  The record schema does not vary with pass/fail; checks
+power sums, all read from one sweep of the family over the 120 relabelings.
+Per batch: the rank test on stacked family rows and the square-sum control
+fraction.  The record schema does not vary with pass/fail; checks
 that could not run carry null values plus an entry in ``failures``.
 """
 
@@ -12,22 +13,31 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from . import __version__
 from .clustering import DEDUP_TOL
 from .errors import QuinticLabError
-from .ffamily import RANK_TOL, a5_orbit, f_family, relation_rank
+from .ffamily import (
+    RANK_TOL,
+    FFamily,
+    family_values_for_perms,
+    orbit_from_sweep,
+    relation_rank,
+)
 from .instances import complex_to_pair, random_instance
+from .permutations import all_s5
 from .polynomials import is_degenerate
-from .principal import newton_bridge_gaps, phi_quintic, phi_values, power_sum_check
+from .principal import newton_bridge_gaps, phi_quintic, phi_values_from_sweep, power_sum_check
 from .resolvent import (
     fit_abc,
     resolvent_form_residual,
     sextic_from_family,
     square_gap,
-    two_valuedness_check,
+    two_valuedness_from_sweep,
 )
 
-__all__ = ["run_verify", "verify_instance", "RESIDUAL_TOL", "SPREAD_TOL"]
+__all__ = ["run_verify", "verify_instance", "verify_sweep", "RESIDUAL_TOL", "SPREAD_TOL"]
 
 RESIDUAL_TOL = 1e-6  # fit residuals and form-membership residuals
 SPREAD_TOL = 1e-7  # two-valuedness spreads, suppressed coefficients, power sums
@@ -37,9 +47,8 @@ P2_CONTROL_FRACTION = 0.95
 SQUARE_GAP_FLOOR = 1e-6
 
 
-def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
-    """All per-instance checks on one root tuple; returns the record dict."""
-    record = {
+def _empty_record(roots) -> dict:
+    return {
         "roots": [complex_to_pair(z) for z in roots],
         "skipped_degenerate": False,
         "orbit": {"count": None, "pairing_ok": None, "family_match_ok": None},
@@ -69,14 +78,22 @@ def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float 
         "failures": [],
         "passed": False,
     }
+
+
+def verify_sweep(
+    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL
+) -> dict:
+    """All per-instance checks on a non-degenerate root tuple; returns the record.
+
+    Every check reads ``sweep = family_values_for_perms(roots, all_s5())``:
+    the orbit and the family (row 0, the identity) as well as the
+    two-valuedness and product-value sweeps.
+    """
+    record = _empty_record(roots)
     failures = record["failures"]
 
-    if is_degenerate(roots):
-        record["skipped_degenerate"] = True
-        return record
-
     try:
-        orbit = a5_orbit(roots, tol_dedup)
+        orbit = orbit_from_sweep(sweep, tol_dedup)
         record["orbit"]["count"] = len(orbit.values)
         record["orbit"]["pairing_ok"] = len(orbit.pair_map) == 6
         record["orbit"]["family_match_ok"] = len(orbit.family_match) == 12
@@ -86,7 +103,7 @@ def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float 
         orbit = None
         failures.append(f"orbit: {exc}")
 
-    fam = f_family(roots)
+    fam = FFamily.from_row(sweep[0])
     try:
         fit = fit_abc(sextic_from_family(fam))
         gap = square_gap(fam)
@@ -109,7 +126,7 @@ def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float 
         failures.append(f"fit: {exc}")
 
     try:
-        tv = two_valuedness_check(roots)
+        tv = two_valuedness_from_sweep(sweep)
         record["two_valuedness"]["even_spread"] = tv.even_spread
         record["two_valuedness"]["odd_spread"] = tv.odd_spread
         record["two_valuedness"]["pair_symmetric_spread"] = tv.pair_symmetric_spread
@@ -119,7 +136,7 @@ def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float 
         failures.append(f"two-valuedness: {exc}")
 
     try:
-        pf = phi_values(roots, tol_dedup)
+        pf = phi_values_from_sweep(sweep, tol_dedup)
         record["principal"]["s5_value_count"] = pf.s5_value_count
         if pf.s5_value_count != 10:
             failures.append("principal: value count under all relabelings != 10")
@@ -146,6 +163,21 @@ def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float 
     return record
 
 
+def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, np.ndarray | None]:
+    """The record of one root tuple, and its sweep (None when skipped)."""
+    if is_degenerate(roots):
+        record = _empty_record(roots)
+        record["skipped_degenerate"] = True
+        return record, None
+    sweep = family_values_for_perms(roots, all_s5())
+    return verify_sweep(roots, sweep, tol_residual, tol_dedup), sweep
+
+
+def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
+    """All per-instance checks on one root tuple; returns the record dict."""
+    return _verify_roots(roots, tol_residual, tol_dedup)[0]
+
+
 def run_verify(
     seed: int,
     n: int,
@@ -162,10 +194,11 @@ def run_verify(
     for index in range(n):
         roots = random_instance(seed, index)
         record = {"index": index}
-        record.update(verify_instance(roots, tol_residual, tol_dedup))
+        checked, sweep = _verify_roots(roots, tol_residual, tol_dedup)
+        record.update(checked)
         instances.append(record)
-        if not record["skipped_degenerate"]:
-            families.append(f_family(roots))
+        if sweep is not None:
+            families.append(FFamily.from_row(sweep[0]))
 
     rank_section = {
         "rank": None,

@@ -1,12 +1,19 @@
-"""Independent high-precision oracles.
+"""Independent high-precision oracles, and loop references for array code.
 
-These reimplement the checked quantities directly from their defining sums at
-50 significant digits with mpmath, sharing no code or index tables with the
-package.  Tests compare library output against these, or against values
-frozen from them.
+The oracles reimplement the checked quantities directly from their defining
+sums at 50 significant digits with mpmath, sharing no code or index tables
+with the package.  Tests compare library output against these, or against
+values frozen from them.
+
+The loop references compute in double precision, one permutation at a time,
+what the package computes as array reductions; they take the package's family
+sweep as input.
 """
 
+import itertools
+
 import mpmath as mp
+import numpy as np
 
 DPS = 50
 
@@ -70,3 +77,65 @@ def newton_elementary_from_power_sums(psums) -> list[complex]:
             acc += (-1) ** (i - 1) * e[k - i] * psums[i - 1]
         e.append(acc / k)
     return e[1:]
+
+
+def _parity(image) -> int:
+    inversions = sum(
+        1 for i in range(5) for j in range(i + 1, 5) if image[i] > image[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _triple_from_family_row(row) -> tuple[complex, complex, complex]:
+    coeffs = np.array([1.0 + 0j])
+    for v in row:
+        coeffs = np.convolve(coeffs, np.array([1.0 + 0j, -complex(v) ** 2]))
+    s5, _, s3, _, s1, _ = (complex(c) for c in coeffs[1:])
+    a = s5 / 10.0
+    b = (s3 - 60.0 * a**3) / 10.0
+    c = (s1 - 26.0 * a**5 - 30.0 * a**2 * b) / 4.0
+    return (a, b, c)
+
+
+def _rel_dev(t, ref) -> float:
+    return max(abs(x - r) / max(1.0, abs(r)) for x, r in zip(t, ref))
+
+
+def two_valuedness_reference(sweep) -> dict:
+    """Two-valuedness of (a, b, c) by a loop over the 120 relabelings.
+
+    ``sweep`` holds one family row per permutation of 0..4 in lexicographic
+    order, identity first.  Returns the reference triples and the three
+    spreads, as the package's report names them.
+    """
+    images = list(itertools.permutations(range(5)))
+    triples = [_triple_from_family_row(row) for row in sweep]
+
+    even_idx = [i for i, img in enumerate(images) if _parity(img) == 1]
+    odd_idx = [i for i, img in enumerate(images) if _parity(img) == -1]
+    even_ref = triples[0]
+    odd_ref = triples[odd_idx[0]]
+
+    # Pair each relabeling sigma with tau o sigma for the first odd tau; the
+    # composite reads position i from sigma.image[tau.image[i]].
+    index_of = {img: i for i, img in enumerate(images)}
+    tau = images[odd_idx[0]]
+
+    def sym_vector(i: int) -> tuple[complex, ...]:
+        j = index_of[tuple(images[i][tau[k]] for k in range(5))]
+        out = []
+        for x, y in zip(triples[i], triples[j]):
+            out.append(x + y)
+            out.append(x * y)
+        return tuple(out)
+
+    sym_ref = sym_vector(0)
+    return {
+        "even_triple": even_ref,
+        "odd_triple": odd_ref,
+        "even_spread": max(_rel_dev(triples[i], even_ref) for i in even_idx),
+        "odd_spread": max(_rel_dev(triples[i], odd_ref) for i in odd_idx),
+        "pair_symmetric_spread": max(
+            _rel_dev(sym_vector(i), sym_ref) for i in range(len(images))
+        ),
+    }

@@ -15,7 +15,7 @@ from quinticlab import (
     relation_rank,
 )
 from quinticlab.clustering import cluster_values
-from quinticlab.ffamily import FFamily, FAMILY_PATTERNS
+from quinticlab.ffamily import FFamily, FAMILY_PATTERNS, family_labels
 from quinticlab.instances import random_instance
 
 from oracles import f_oracle, family_oracle
@@ -152,6 +152,36 @@ class TestOrbit:
 @pytest.fixture(scope="module")
 def samples():
     return [f_family(random_instance(31, i)) for i in range(50)]
+
+
+class TestFamilyLabels:
+    @pytest.mark.parametrize("index", range(50))
+    def test_nearest_match_equals_optimal_assignment(self, index):
+        from scipy.optimize import linear_sum_assignment
+
+        roots = random_instance(808, index)
+        orbit = a5_orbit(roots)
+        fam = f_family(roots)
+        signs = ((1.0, "+"), (-1.0, "-"))
+        targets = [sign * v for sign, _ in signs for v in fam.values()]
+        labels = [tag + name for _, tag in signs for name in ("f", "f0", "f1", "f2", "f3", "f4")]
+        cost = np.abs(np.subtract.outer(np.array(orbit.values), np.array(targets)))
+        rows, cols = linear_sum_assignment(cost)
+        assert orbit.family_match == tuple(labels[c] for c in cols[np.argsort(rows)])
+
+    def test_shared_nearest_member_rejected(self, seeded_roots):
+        fam = f_family(seeded_roots)
+        values = [sign * v for sign in (1.0, -1.0) for v in fam.values()]
+        values[1] = values[0] * (1.0 + 1e-12)  # both now nearest to +f
+        with pytest.raises(NumericFailureError, match="one to one"):
+            family_labels(values, fam, threshold=1e-6)
+
+    def test_value_far_from_every_member_rejected(self, seeded_roots):
+        fam = f_family(seeded_roots)
+        values = [sign * v for sign in (1.0, -1.0) for v in fam.values()]
+        values[3] += 1e-3
+        with pytest.raises(NumericFailureError, match="within tolerance"):
+            family_labels(values, fam, threshold=1e-6)
 
 
 class TestRelationRank:

@@ -17,8 +17,12 @@ from quinticlab import (
     sextic_from_family,
     two_valuedness_check,
 )
-from quinticlab.ffamily import FFamily
-from quinticlab.resolvent import square_gap
+from quinticlab.ffamily import FFamily, family_values_for_perms
+from quinticlab.instances import random_instance
+from quinticlab.permutations import S5_PARITY, all_s5, compose
+from quinticlab.resolvent import _TAU_PARTNER, square_gap, two_valuedness_from_sweep
+
+from oracles import two_valuedness_reference
 
 
 def _symbolic_sextic_coeffs():
@@ -166,6 +170,44 @@ class TestTwoValuedness:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInstanceError):
             two_valuedness_check([1.0] * 5)
+
+
+class TestArrayCore:
+    """The array reductions against the loop reference in tests/oracles.py.
+
+    Bounds are fixed from complex128: the array and loop forms differ only in
+    operation order, by ~1e-13 on these instances.
+    """
+
+    TRIPLE_REL = 1e-10
+    SPREAD_ABS = 1e-10
+
+    @pytest.mark.parametrize("index", range(50))
+    def test_matches_loop_reference(self, index):
+        sweep = family_values_for_perms(random_instance(2024, index), all_s5())
+        got = two_valuedness_from_sweep(sweep)
+        want = two_valuedness_reference(sweep)
+        for name in ("even_triple", "odd_triple"):
+            for x, r in zip(getattr(got, name), want[name]):
+                assert abs(x - r) <= self.TRIPLE_REL * abs(r)
+        for name in ("even_spread", "odd_spread", "pair_symmetric_spread"):
+            assert abs(getattr(got, name) - want[name]) <= self.SPREAD_ABS
+
+    def test_parity_and_partner_tables(self):
+        perms = all_s5()
+        assert list(S5_PARITY) == [p.parity for p in perms]
+        index_of = {p.image: i for i, p in enumerate(perms)}
+        tau = next(p for p in perms if p.parity == -1)
+        assert list(_TAU_PARTNER) == [index_of[compose(tau, p).image] for p in perms]
+
+    def test_sextic_rows_match_poly_from_roots(self, seeded_roots):
+        from quinticlab import poly_from_roots
+
+        fam = f_family(seeded_roots)
+        want = poly_from_roots([v * v for v in fam.values()]).coeffs
+        got = sextic_from_family(fam).coeffs
+        scale = max(1.0, max(abs(c) for c in want))
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale
 
 
 def test_square_gap_is_generically_large(seeded_roots):

@@ -1,5 +1,7 @@
+from quinticlab.ffamily import family_values_for_perms
 from quinticlab.instances import random_instance
-from quinticlab.verify import run_verify, verify_instance
+from quinticlab.permutations import S5_PARITY, all_s5
+from quinticlab.verify import SPREAD_TOL, run_verify, verify_instance, verify_sweep
 
 
 def test_instance_record_passes_on_generic_input():
@@ -40,3 +42,20 @@ def test_small_batch_skips_rank_test():
     assert report["rank_test"]["rank"] is None
     assert report["rank_test"]["skipped_reason"] is not None
     assert report["summary"]["ok"] is True
+
+
+def test_perturbed_odd_row_fails_two_valuedness():
+    # Negative control for the array core: one odd relabeling's family scaled
+    # by (1 + 1e-6) must break the odd-coset agreement; the sweep as computed
+    # must pass.
+    roots = random_instance(17, 2)
+    sweep = family_values_for_perms(roots, all_s5())
+    assert verify_sweep(roots, sweep)["passed"] is True
+
+    perturbed = sweep.copy()
+    odd_row = int((S5_PARITY == -1).nonzero()[0][3])
+    perturbed[odd_row] *= 1.0 + 1e-6
+    record = verify_sweep(roots, perturbed)
+    assert record["two_valuedness"]["odd_spread"] > SPREAD_TOL
+    assert record["passed"] is False
+    assert "two-valuedness: spreads above tolerance" in record["failures"]
