@@ -5,9 +5,9 @@ analysis under even relabelings, and the rank of the family's linear relations.
 roots by the 60 even permutations produces exactly 12 distinct values for
 generic input; they close under negation into 6 sign pairs and coincide with
 the labeled family ``(+-f, +-f_0, ..., +-f_4)``.  Stacked family rows from
-independent instances span only a 3-dimensional complement: the six values
-satisfy three linear relations, which :func:`relation_rank` recovers
-numerically.
+independent instances span a 3-dimensional subspace: the six values
+satisfy three linear relations with golden-ratio coefficients, known in
+closed form, which :func:`relation_rank` confirms by a numerical rank test.
 """
 
 from __future__ import annotations
@@ -88,7 +88,13 @@ class OrbitReport:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Numerical rank analysis of stacked (f, f_0..f_4) sample rows."""
+    """Numerical rank analysis of stacked (f, f_0..f_4) sample rows.
+
+    ``null_basis`` is set only at rank 3; :func:`relation_rank` gives its
+    closed form.  ``integer_relations`` is always None: the relations'
+    coefficients are 1 and the irrational golden ratio, so no small-integer
+    relation exists.  The field stays so the report keeps its shape.
+    """
 
     rank: int
     singular_values: tuple[float, ...]
@@ -231,79 +237,40 @@ def _rref(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return m
 
 
-def _integer_relation_search(
-    matrix: np.ndarray, projector: np.ndarray
-) -> tuple[tuple[int, ...], ...] | None:
-    """Integer 6-vectors (entries -4..4) in the null space, if any exist.
-
-    A candidate must lie in the numerical null space (projector residual) and
-    annihilate every sample row to 1e-6 relative.  Returns up to three
-    linearly independent vectors, or None when none survive.
-    """
-    rng = range(-4, 5)
-    grid = np.stack(
-        np.meshgrid(*[list(rng)] * 6, indexing="ij"), axis=-1
-    ).reshape(-1, 6)
-    grid = grid[np.any(grid != 0, axis=1)]
-    norms = np.linalg.norm(grid, axis=1)
-    diff = grid.astype(complex) - grid @ projector.T
-    resid = np.linalg.norm(diff, axis=1) / norms
-    candidates = grid[resid <= 1e-8]
-    if candidates.size == 0:
-        return None
-
-    row_norms = np.linalg.norm(matrix, axis=1)
-    kept = []
-    for u in candidates[np.argsort(np.linalg.norm(candidates, axis=1))]:
-        g = np.gcd.reduce(np.abs(u[u != 0]))
-        if g != 1:
-            continue
-        first = u[np.nonzero(u)[0][0]]
-        if first < 0:
-            continue
-        errs = np.abs(matrix @ u) / (row_norms * np.linalg.norm(u))
-        if float(errs.max()) > 1e-6:
-            continue
-        trial = kept + [u]
-        if np.linalg.matrix_rank(np.array(trial, dtype=float)) == len(trial):
-            kept.append(u)
-        if len(kept) == 3:
-            break
-    if not kept:
-        return None
-    return tuple(tuple(int(x) for x in u) for u in kept)
-
-
 def relation_rank(samples: Sequence[FFamily], rank_tol: float = RANK_TOL) -> RelationReport:
     """Numerical rank of the N x 6 matrix of (f, f_0..f_4) sample rows.
 
     Needs at least 10 samples.  Rank counts singular values above
-    ``rank_tol * sigma_1``.  When the rank is 3, returns a reduced null-space
-    basis and attempts to round it to small integer coefficient vectors;
-    integer relations are only reported when they annihilate all rows to
-    1e-6 relative, otherwise the floating basis stands alone.
+    ``rank_tol * sigma_1``.  One thin SVD gives both the singular values and
+    the 6 x 6 ``vh``, so memory stays linear in N.  When the rank is 3,
+    ``null_basis`` is the reduced row echelon form of the null space, with
+    pivots on f, f_0 and f_1.  For exact family rows it is, with
+    phi = (1 + sqrt 5) / 2,
+
+        f  + phi f_2 -     f_3 + phi f_4 = 0
+        f_0 -    f_2 + phi f_3 - phi f_4 = 0
+        f_1 - phi f_2 + phi f_3 -     f_4 = 0
+
+    The basis is reported as computed, with no rounding to integers: its
+    coefficients involve the irrational phi.
     """
     if len(samples) < 10:
         raise InvalidInputError(f"need at least 10 samples, got {len(samples)}")
     matrix = np.array([s.values() for s in samples], dtype=complex)
-    singular = np.linalg.svd(matrix, compute_uv=False)
+    _, singular, vh = np.linalg.svd(matrix, full_matrices=False)
     top = float(singular[0])
     rank = int(np.sum(singular > rank_tol * top)) if top > 0.0 else 0
 
     null_basis = None
-    integer_relations = None
     if rank == 3:
-        _, _, vh = np.linalg.svd(matrix)
         basis = np.conj(vh[3:])  # rows span the null space of the sample matrix
-        projector = basis.T @ np.conj(basis)
         null_basis = tuple(
             tuple(complex(x) for x in row) for row in _rref(basis)
         )
-        integer_relations = _integer_relation_search(matrix, projector)
 
     return RelationReport(
         rank=rank,
         singular_values=tuple(float(s) for s in singular),
         null_basis=null_basis,
-        integer_relations=integer_relations,
+        integer_relations=None,
     )

@@ -3,7 +3,9 @@
 Instances are sampled as root tuples (not coefficient vectors): permutation
 claims act on root labels directly, and sampling roots keeps conditioning
 uniform.  Roots are drawn uniformly (by area) from the annulus
-0.5 <= |z| <= 1.5, rejecting tuples with any pairwise distance below 1e-2.
+0.5 <= |z| <= 1.5, rejecting tuples with any pairwise distance below 1e-2
+and rejecting degenerate tuples (:func:`~quinticlab.polynomials.is_degenerate`),
+so every generated instance is one that the checks do not skip.
 The per-instance stream is derived from (seed, index) alone, so identical
 arguments give bitwise-identical tuples regardless of scheduling.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .polynomials import MonicPoly, as_root_tuple, find_roots
+from .polynomials import MonicPoly, as_root_tuple, find_roots, is_degenerate
 
 __all__ = [
     "random_instance",
@@ -35,7 +37,10 @@ _R2_HI = 2.25  # 1.5**2
 
 
 def random_instance(seed: int, index: int) -> tuple[complex, ...]:
-    """Five annulus roots with pairwise separation >= 1e-2, from (seed, index)."""
+    """Five annulus roots with pairwise separation >= 1e-2, from (seed, index).
+
+    Draws that :func:`is_degenerate` flags are rejected like close pairs.
+    """
     if seed < 0 or seed >= 2**64:
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
     if index < 0:
@@ -48,7 +53,9 @@ def random_instance(seed: int, index: int) -> tuple[complex, ...]:
         gaps = np.abs(roots[:, None] - roots[None, :])
         np.fill_diagonal(gaps, np.inf)
         if float(gaps.min()) >= SEPARATION_MIN:
-            return tuple(complex(z) for z in roots)
+            rt = tuple(complex(z) for z in roots)
+            if not is_degenerate(rt):
+                return rt
     raise RuntimeError("annulus rejection sampling failed to terminate")
 
 

@@ -65,6 +65,28 @@ def phi_oracle(roots) -> complex:
         return complex((f - f0) * (f1 - f4) * (f2 + f3))
 
 
+GOLDEN_RATIO = (1 + np.sqrt(5)) / 2
+
+
+def golden_relations(phi: float = GOLDEN_RATIO) -> np.ndarray:
+    """Coefficient rows of the three relations among (f, f_0..f_4):
+
+        f  + phi f_2 -     f_3 + phi f_4 = 0
+        f_0 -    f_2 + phi f_3 - phi f_4 = 0
+        f_1 - phi f_2 + phi f_3 -     f_4 = 0
+
+    The rows are in reduced row echelon form.  ``phi`` is a parameter so that
+    a negative control can substitute a wrong value.
+    """
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, phi, -1.0, phi],
+            [0.0, 1.0, 0.0, -1.0, phi, -phi],
+            [0.0, 0.0, 1.0, -phi, phi, -1.0],
+        ]
+    )
+
+
 def newton_elementary_from_power_sums(psums) -> list[complex]:
     """e_1..e_n reconstructed from p_1..p_n via the Newton recurrence
 

@@ -18,7 +18,7 @@ from quinticlab.clustering import cluster_values
 from quinticlab.ffamily import FFamily, FAMILY_PATTERNS, family_labels
 from quinticlab.instances import random_instance
 
-from oracles import f_oracle, family_oracle
+from oracles import f_oracle, family_oracle, golden_relations
 
 
 class TestEvalF:
@@ -224,6 +224,34 @@ class TestRelationRank:
     def test_too_few_samples(self, samples):
         with pytest.raises(InvalidInputError):
             relation_rank(samples[:9])
+
+
+class TestClosedFormRelations:
+    # Each relation must cancel to roundoff: |sum c_j v_j| against the sum of
+    # the term magnitudes |c_j v_j|.  The worst clean value seen is 3.4e-15.
+    BOUND = 1e-13
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return np.array([f_family(random_instance(7, i)).values() for i in range(2000)])
+
+    @staticmethod
+    def relative_residuals(rows, relations):
+        terms = np.abs(rows[:, None, :] * relations[None, :, :]).sum(axis=2)
+        return np.abs(rows @ relations.T) / terms
+
+    def test_null_basis_is_the_closed_form(self, samples):
+        report = relation_rank(samples)
+        assert report.rank == 3
+        assert np.abs(np.array(report.null_basis) - golden_relations()).max() < 1e-9
+
+    def test_relations_annihilate_seeded_rows(self, rows):
+        residuals = self.relative_residuals(rows, golden_relations())
+        assert residuals.max() <= self.BOUND
+
+    def test_rounded_golden_ratio_fails(self, rows):
+        residuals = self.relative_residuals(rows, golden_relations(phi=1.618))
+        assert (residuals.max(axis=0) > self.BOUND).all()
 
 
 class TestDedupAmbiguity:

@@ -5,7 +5,7 @@ import pytest
 
 from quinticlab import InstanceSpec, InvalidInputError, load_instance_file, random_instance
 from quinticlab.instances import SEPARATION_MIN, complex_to_pair
-from quinticlab.polynomials import poly_from_roots
+from quinticlab.polynomials import is_degenerate, poly_from_roots
 
 
 class TestRandomInstance:
@@ -29,6 +29,14 @@ class TestRandomInstance:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert abs(roots[i] - roots[j]) >= SEPARATION_MIN
+
+    @pytest.mark.parametrize(
+        "seed, index", [(2557245980999375963, 24), (7297217133110036595, 51)]
+    )
+    def test_degenerate_draws_are_rejected(self, seed, index):
+        # At these (seed, index) pairs the first well-separated draw is one
+        # that is_degenerate flags; the sampler must move past it.
+        assert not is_degenerate(random_instance(seed, index))
 
     def test_seed_bounds(self):
         with pytest.raises(InvalidInputError):
