@@ -8,8 +8,8 @@ fitted coefficients are two-valued under relabeling parity, and builds the
 principal-form quintic z^5 + p z^3 + q z + r through the five values of a
 product of family differences.
 
-Hot kernels run through a compiled extension when available, with a numpy
-fallback selected at import time (see :mod:`quinticlab.kernels`).
+Every relabeling sweep goes through one batched numpy kernel
+(:mod:`quinticlab.kernels`); the package is pure Python.
 """
 
 __version__ = "0.1.0"
@@ -32,12 +32,9 @@ from .ffamily import (
     relation_rank,
 )
 from .instances import InstanceSpec, load_instance_file, random_instance
-from .kernels import backend_name
-from .permutations import Perm5, all_a5, all_s5, apply, compose, identity, inverse, three_cycles
+from .permutations import Perm5, all_a5, all_s5, apply, identity
 from .polynomials import (
     MonicPoly,
-    elementary_symmetric,
-    eval_poly,
     find_roots,
     is_degenerate,
     poly_from_roots,
@@ -48,7 +45,6 @@ from .principal import (
     PhiFamily,
     PowerSumCheck,
     PrincipalQuintic,
-    invariance_check,
     newton_bridge_gaps,
     phi,
     phi_quintic,
@@ -59,7 +55,6 @@ from .resolvent import (
     ResolventCoeffs,
     TwoValuednessReport,
     degree12_poly,
-    eval_resolvent_form,
     fit_abc,
     resolvent_form_residual,
     sextic_from_family,
@@ -69,7 +64,6 @@ from .verify import run_verify
 
 __all__ = [
     "__version__",
-    "backend_name",
     # errors
     "QuinticLabError",
     "InvalidInputError",
@@ -79,10 +73,8 @@ __all__ = [
     # polynomials
     "MonicPoly",
     "poly_from_roots",
-    "eval_poly",
     "find_roots",
     "power_sums",
-    "elementary_symmetric",
     "sqrt_discriminant",
     "is_degenerate",
     # permutations
@@ -90,10 +82,7 @@ __all__ = [
     "identity",
     "all_s5",
     "all_a5",
-    "three_cycles",
     "apply",
-    "compose",
-    "inverse",
     # family and orbit
     "FFamily",
     "OrbitReport",
@@ -108,7 +97,6 @@ __all__ = [
     "TwoValuednessReport",
     "sextic_from_family",
     "fit_abc",
-    "eval_resolvent_form",
     "resolvent_form_residual",
     "degree12_poly",
     "two_valuedness_check",
@@ -121,7 +109,6 @@ __all__ = [
     "phi_quintic",
     "power_sum_check",
     "newton_bridge_gaps",
-    "invariance_check",
     # instances and verification
     "InstanceSpec",
     "load_instance_file",

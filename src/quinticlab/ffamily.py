@@ -50,7 +50,8 @@ _LABELS = ("f", "f0", "f1", "f2", "f3", "f4")
 # Labels of the signed targets (+family, -family) that orbit values match.
 _SIGNED_LABELS = tuple("+" + label for label in _LABELS) + tuple("-" + label for label in _LABELS)
 
-_A5_IMAGES = S5_IMAGES[A5_IN_S5]
+# f on the 60 even relabelings, then the family rows: one kernel call per orbit.
+_ORBIT_ROWS = np.concatenate([S5_IMAGES[A5_IN_S5], FAMILY_PATTERNS])
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,14 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     pairing analysis.
     """
     rt = as_root_tuple(roots)
-    evals = eval_f_rows(rt, _A5_IMAGES)
+    rows = eval_f_rows(rt, _ORBIT_ROWS)
+    evals, family = rows[:60], rows[60:]
     if is_degenerate(rt):
         clusters = cluster_values(evals, tol)
         return OrbitReport(
             values=clusters.centers, pair_map=(), family_match=(), degenerate=True
         )
-    return _orbit_report(evals, f_family(rt), tol)
+    return _orbit_report(evals, FFamily.from_row(family), tol)
 
 
 def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:

@@ -1,90 +1,34 @@
-"""Evaluation kernels for the sine-weighted root form.
+"""The batched evaluation kernel for the sine-weighted root form.
 
-Two interchangeable implementations of the same batched kernel:
-
-* ``compiled`` -- a Cython extension (:mod:`quinticlab._speedups`), used when
-  it imported successfully and ``QUINTICLAB_PURE`` is not set;
-* ``numpy`` -- a vectorized fallback that needs no compiled code.
-
-Both evaluate, for each row ``(i0..i4)`` of an index matrix, the 20-term form
+For each row ``(i0..i4)`` of an index matrix, :func:`eval_f_rows` evaluates
+the 20-term form
 
     sum over n in 1..4, m in 0..4 of
         sin(2*pi*n/5) * y[m] * y[(m+n) % 5]**2 * y[(m+2n) % 5]**2
 
-on the reindexed tuple ``y = (x[i0], ..., x[i4])``.  Batching over index rows
-is what makes whole permutation-orbit sweeps single kernel calls.
+on the reindexed tuple ``y = (x[i0], ..., x[i4])``, in numpy.  Batching over
+index rows is what makes whole permutation-orbit sweeps single kernel calls.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["eval_f_rows", "backend_name", "implementations"]
+__all__ = ["eval_f_rows"]
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    w, i0, i1, i2 = [], [], [], []
-    for n in range(1, 5):
-        s = math.sin(2.0 * math.pi * n / 5.0)
-        for m in range(5):
-            w.append(s)
-            i0.append(m)
-            i1.append((m + n) % 5)
-            i2.append((m + 2 * n) % 5)
-    return (
-        np.asarray(w, dtype=np.float64),
-        np.asarray(i0, dtype=np.intp),
-        np.asarray(i1, dtype=np.intp),
-        np.asarray(i2, dtype=np.intp),
-    )
-
-
-_W, _I0, _I1, _I2 = _build_tables()
-
-
-def _eval_rows_numpy(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    vals = x[idx]  # (K, 5)
-    terms = vals[:, _I0] * np.square(vals[:, _I1]) * np.square(vals[:, _I2])
-    # Reduce with sum(), not a BLAS matvec: its pairwise order depends only on
-    # the 20-term axis, so results are bitwise-stable across batch sizes.
-    return (terms * _W).sum(axis=1)
-
-
-try:
-    from . import _speedups as _ext
-except ImportError:  # pragma: no cover - depends on the build
-    _ext = None
-
-_FORCE_PURE = bool(os.environ.get("QUINTICLAB_PURE"))
-_ACTIVE = "numpy" if (_ext is None or _FORCE_PURE) else "compiled"
-
-
-def backend_name() -> str:
-    """Name of the kernel implementation in use: 'compiled' or 'numpy'."""
-    return _ACTIVE
-
-
-def implementations() -> dict:
-    """All available kernel implementations, keyed by backend name.
-
-    Each maps (x: complex128[5], idx: int64[K,5], both C-contiguous) to a
-    complex128[K] array.  Used by the benchmark; normal callers should go
-    through :func:`eval_f_rows`.
-    """
-    impls = {"numpy": _eval_rows_numpy}
-    if _ext is not None:
-        impls["compiled"] = _ext.eval_rows
-    return impls
+# sin(2*pi*n/5) for n = 1..4.
+_SIN = tuple(math.sin(2.0 * math.pi * n / 5.0) for n in range(1, 5))
 
 
 def eval_f_rows(x, idx) -> np.ndarray:
     """Evaluate the form on ``x`` reindexed by each row of ``idx``.
 
     ``x`` is a length-5 complex sequence; ``idx`` an integer array of shape
-    (K, 5) with entries in 0..4.  Returns a complex array of length K.
+    (K, 5) with entries in 0..4.  Returns a complex array of length K.  Each
+    row's value is bitwise independent of K and of the other rows.
     """
     xa = np.ascontiguousarray(x, dtype=np.complex128)
     ia = np.ascontiguousarray(idx, dtype=np.int64)
@@ -94,6 +38,16 @@ def eval_f_rows(x, idx) -> np.ndarray:
         raise ValueError(f"expected index rows of length 5, got shape {ia.shape}")
     if ia.size and (ia.min() < 0 or ia.max() > 4):
         raise ValueError("index entries must lie in 0..4")
-    if _ACTIVE == "compiled":
-        return _ext.eval_rows(xa, ia)
-    return _eval_rows_numpy(xa, ia)
+    vals = xa[np.ascontiguousarray(ia.T)]  # (5, K): row m holds y[m] of each row
+    sq = np.square(np.concatenate([vals, vals]))  # (10, K): row j holds y[j % 5]**2
+    # Add the 20 terms in a fixed order, n outer and m inner, starting from 0,
+    # so each row's value is independent of K.  (sum(axis=1) adds in this
+    # order for K >= 2 rows but pairwise for a single row.)  Working in (5, K)
+    # blocks keeps every temporary of a 720-row sweep under 128 KB; larger
+    # ones are mmapped and page-faulted afresh on every call.
+    out = np.zeros(len(ia), dtype=np.complex128)
+    for n, w in enumerate(_SIN, start=1):
+        m2n = 2 * n % 5
+        for term in vals * sq[n : n + 5] * sq[m2n : m2n + 5] * w:  # row m: term (n, m)
+            out += term
+    return out

@@ -3,9 +3,6 @@
 Action convention, fixed project-wide ("pull"):
 
     apply(p, rt)[i] = rt[p.image[i]]
-
-and composition is defined so that
-``apply(compose(p, q), rt) == apply(p, apply(q, rt))`` exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +20,7 @@ __all__ = [
     "identity",
     "all_s5",
     "all_a5",
-    "three_cycles",
     "apply",
-    "compose",
-    "inverse",
     "S5_IMAGES",
     "S5_PARITY",
     "A5_IN_S5",
@@ -56,26 +50,10 @@ class Perm5:
         )
         return -1 if inv % 2 else 1
 
-    def cycle_lengths(self) -> tuple[int, ...]:
-        seen = [False] * 5
-        lengths = []
-        for start in range(5):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
-
 
 _IDENTITY = Perm5((0, 1, 2, 3, 4))
 _S5 = tuple(Perm5(img) for img in itertools.permutations(range(5)))
 _A5 = tuple(p for p in _S5 if p.parity == 1)
-_THREE_CYCLES = tuple(p for p in _S5 if p.cycle_lengths() == (1, 1, 3))
 
 # Tables over the all_s5 order, for sweeps stored as arrays with one row per
 # permutation: the image arrays, each row's parity (by inversion count), and
@@ -103,25 +81,8 @@ def all_a5() -> list[Perm5]:
     return list(_A5)
 
 
-def three_cycles() -> list[Perm5]:
-    """The 20 permutations cycling exactly 3 labels and fixing 2."""
-    return list(_THREE_CYCLES)
-
-
 def apply(p: Perm5, rt: Sequence):
     """Relabel a 5-tuple: position i of the result reads rt[p.image[i]]."""
     if len(rt) != 5:
         raise InvalidInputError("apply expects a 5-tuple")
     return tuple(rt[p.image[i]] for i in range(5))
-
-
-def compose(p: Perm5, q: Perm5) -> Perm5:
-    """Composition matching apply: apply(compose(p, q), rt) = apply(p, apply(q, rt))."""
-    return Perm5(tuple(q.image[p.image[i]] for i in range(5)))
-
-
-def inverse(p: Perm5) -> Perm5:
-    img = [0] * 5
-    for i, j in enumerate(p.image):
-        img[j] = i
-    return Perm5(tuple(img))

@@ -1,5 +1,5 @@
-"""Complex monic polynomials: construction, evaluation, simultaneous root
-finding, symmetric-function utilities, and the signed discriminant root.
+"""Complex monic polynomials: construction, simultaneous root finding, power
+sums, and the signed discriminant root.
 
 All comparisons in this package are relative to ``max(1, magnitude)`` so the
 same tolerances are meaningful across coefficient scales.
@@ -19,10 +19,8 @@ __all__ = [
     "MonicPoly",
     "as_root_tuple",
     "poly_from_roots",
-    "eval_poly",
     "find_roots",
     "power_sums",
-    "elementary_symmetric",
     "sqrt_discriminant",
     "is_degenerate",
     "DEGENERACY_FLOOR",
@@ -96,14 +94,6 @@ def poly_from_roots(roots: Sequence[complex]) -> MonicPoly:
     for r in roots:
         c = np.convolve(c, np.array([1.0 + 0j, -r]))
     return MonicPoly(tuple(c[1:]))
-
-
-def eval_poly(p: MonicPoly, z: complex) -> complex:
-    """Horner evaluation of the monic polynomial at z."""
-    acc = 1.0 + 0j
-    for c in p.coeffs:
-        acc = acc * z + c
-    return acc
 
 
 def _horner_many(full: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -186,18 +176,6 @@ def power_sums(values: Sequence[complex], k_max: int) -> list[complex]:
         acc = acc * vals
         out.append(complex(np.sum(acc)))
     return out
-
-
-def elementary_symmetric(values: Sequence[complex]) -> list[complex]:
-    """e_1..e_n of the given values, by incremental expansion of prod(1 + v t)."""
-    vals = [complex(v) for v in values]
-    if not vals:
-        raise InvalidInputError("need at least one value")
-    e = [1.0 + 0j] + [0j] * len(vals)
-    for i, v in enumerate(vals, start=1):
-        for j in range(i, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return e[1:]
 
 
 def sqrt_discriminant(roots: Sequence[complex]) -> complex:

@@ -27,7 +27,7 @@ import numpy as np
 from .clustering import DEDUP_TOL, cluster_values
 from .errors import DegenerateInstanceError, NumericFailureError, VerificationFailureError
 from .ffamily import FFamily, family_values_for_perms
-from .permutations import A5_IN_S5, all_a5, all_s5, apply
+from .permutations import A5_IN_S5, all_s5
 from .polynomials import as_root_tuple, is_degenerate, poly_from_roots, power_sums
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "phi_quintic",
     "power_sum_check",
     "newton_bridge_gaps",
-    "phi_coeff_vector",
-    "invariance_check",
     "SUPPRESSED_TOL",
 ]
 
@@ -113,10 +111,6 @@ def _five_values(a5_phis: np.ndarray, tol: float) -> tuple[complex, ...]:
             f"expected 5 product values under even relabelings, found {clusters.count}"
         )
     return clusters.centers
-
-
-def _phi_a5_values(roots, tol: float) -> tuple[complex, ...]:
-    return _five_values(_phi_rows(family_values_for_perms(roots, all_a5())), tol)
 
 
 def phi_values_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> PhiFamily:
@@ -202,35 +196,3 @@ def newton_bridge_gaps(pf: PhiFamily) -> tuple[float, float]:
     gap4 = abs(c4 - (-e1)) / scales[0]
     gap2 = abs(c2 - (-e3)) / scales[2]
     return (gap4, gap2)
-
-
-def phi_coeff_vector(roots, tol: float = DEDUP_TOL) -> tuple[complex, ...]:
-    """Monic-quintic coefficient vector (z^4..z^0) of the five product values.
-
-    Values are canonically ordered before expansion, so the vector is a
-    label-free function of the value set.
-    """
-    values = sorted(_phi_a5_values(as_root_tuple(roots), tol), key=lambda z: (z.real, z.imag))
-    return poly_from_roots(values).coeffs
-
-
-def invariance_check(roots, tol: float = DEDUP_TOL) -> float:
-    """Max relative deviation of the coefficient vector over even relabelings.
-
-    Even relabelings permute the five product values, so the vector must be
-    unchanged; each coefficient is compared at its own degree scale.
-    """
-    rt = as_root_tuple(roots)
-    if is_degenerate(rt):
-        raise DegenerateInstanceError("invariance check needs distinct roots")
-    base = phi_coeff_vector(rt, tol)
-    values = _phi_a5_values(rt, tol)
-    scales = _coeff_scales(values)
-    worst = 0.0
-    for perm in all_a5():
-        other = phi_coeff_vector(apply(perm, rt), tol)
-        dev = max(
-            abs(x - y) / s for x, y, s in zip(other, base, scales)
-        )
-        worst = max(worst, dev)
-    return worst

@@ -39,7 +39,6 @@ __all__ = [
     "sextic_from_family",
     "square_gap",
     "fit_abc",
-    "eval_resolvent_form",
     "resolvent_form_residual",
     "degree12_poly",
     "two_valuedness_check",
@@ -48,7 +47,7 @@ __all__ = [
 
 # Rows of a sweep in all_s5 order: the odd permutations, and for each row
 # sigma the row of tau o sigma, where tau is the first odd permutation.
-# compose(tau, sigma) has image sigma.image[tau.image].
+# tau o sigma has image sigma.image[tau.image].
 _ODD = np.flatnonzero(S5_PARITY == -1)
 _S5_INDEX = {tuple(image): k for k, image in enumerate(S5_IMAGES.tolist())}
 _TAU_PARTNER = np.array(
@@ -164,12 +163,6 @@ def fit_abc(sextic: MonicPoly) -> ResolventCoeffs:
         c=complex(c),
         residuals=FitResiduals(r4=float(r4), r2=float(r2), r0=float(r0)),
     )
-
-
-def eval_resolvent_form(F: complex, a: complex, b: complex, c: complex) -> complex:
-    """Direct evaluation of the form at F, via G = F + a."""
-    G = F + a
-    return G**6 + 4.0 * a * G**5 + 10.0 * b * G**3 + 4.0 * c * G - 4.0 * a * c + 5.0 * b**2
 
 
 def resolvent_form_residual(F: complex, a: complex, b: complex, c: complex) -> float:

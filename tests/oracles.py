@@ -8,12 +8,23 @@ values frozen from them.
 The loop references compute in double precision, one permutation at a time,
 what the package computes as array reductions; they take the package's family
 sweep as input.
+
+The helpers at the end (permutation algebra, polynomial evaluation, the
+resolvent form, and the invariance of the product values' quintic) are
+double-precision checks that only the tests use, built on package types.
 """
 
 import itertools
 
 import mpmath as mp
 import numpy as np
+
+from quinticlab import DegenerateInstanceError, InvalidInputError, MonicPoly, Perm5
+from quinticlab.clustering import DEDUP_TOL
+from quinticlab.ffamily import family_values_for_perms
+from quinticlab.permutations import all_a5, all_s5, apply
+from quinticlab.polynomials import as_root_tuple, is_degenerate, poly_from_roots
+from quinticlab.principal import _coeff_scales, _five_values, _phi_rows
 
 DPS = 50
 
@@ -161,3 +172,98 @@ def two_valuedness_reference(sweep) -> dict:
             _rel_dev(sym_vector(i), sym_ref) for i in range(len(images))
         ),
     }
+
+
+def cycle_lengths(p: Perm5) -> tuple[int, ...]:
+    seen = [False] * 5
+    lengths = []
+    for start in range(5):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p.image[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def three_cycles() -> list[Perm5]:
+    """The 20 permutations cycling exactly 3 labels and fixing 2."""
+    return [p for p in all_s5() if cycle_lengths(p) == (1, 1, 3)]
+
+
+def compose(p: Perm5, q: Perm5) -> Perm5:
+    """Composition matching apply: apply(compose(p, q), rt) = apply(p, apply(q, rt))."""
+    return Perm5(tuple(q.image[p.image[i]] for i in range(5)))
+
+
+def inverse(p: Perm5) -> Perm5:
+    img = [0] * 5
+    for i, j in enumerate(p.image):
+        img[j] = i
+    return Perm5(tuple(img))
+
+
+def eval_poly(p: MonicPoly, z: complex) -> complex:
+    """Horner evaluation of the monic polynomial at z."""
+    acc = 1.0 + 0j
+    for c in p.coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def elementary_symmetric(values) -> list[complex]:
+    """e_1..e_n of the given values, by incremental expansion of prod(1 + v t)."""
+    vals = [complex(v) for v in values]
+    if not vals:
+        raise InvalidInputError("need at least one value")
+    e = [1.0 + 0j] + [0j] * len(vals)
+    for i, v in enumerate(vals, start=1):
+        for j in range(i, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
+    return e[1:]
+
+
+def eval_resolvent_form(F: complex, a: complex, b: complex, c: complex) -> complex:
+    """Direct evaluation of the resolvent form at F, via G = F + a."""
+    G = F + a
+    return G**6 + 4.0 * a * G**5 + 10.0 * b * G**3 + 4.0 * c * G - 4.0 * a * c + 5.0 * b**2
+
+
+def _phi_a5_values(roots, tol: float) -> tuple[complex, ...]:
+    return _five_values(_phi_rows(family_values_for_perms(roots, all_a5())), tol)
+
+
+def phi_coeff_vector(roots, tol: float = DEDUP_TOL) -> tuple[complex, ...]:
+    """Monic-quintic coefficient vector (z^4..z^0) of the five product values.
+
+    Values are canonically ordered before expansion, so the vector is a
+    label-free function of the value set.
+    """
+    values = sorted(_phi_a5_values(as_root_tuple(roots), tol), key=lambda z: (z.real, z.imag))
+    return poly_from_roots(values).coeffs
+
+
+def invariance_check(roots, tol: float = DEDUP_TOL) -> float:
+    """Max relative deviation of the coefficient vector over even relabelings.
+
+    Even relabelings permute the five product values, so the vector must be
+    unchanged; each coefficient is compared at its own degree scale.
+    """
+    rt = as_root_tuple(roots)
+    if is_degenerate(rt):
+        raise DegenerateInstanceError("invariance check needs distinct roots")
+    base = phi_coeff_vector(rt, tol)
+    values = _phi_a5_values(rt, tol)
+    scales = _coeff_scales(values)
+    worst = 0.0
+    for perm in all_a5():
+        other = phi_coeff_vector(apply(perm, rt), tol)
+        dev = max(
+            abs(x - y) / s for x, y, s in zip(other, base, scales)
+        )
+        worst = max(worst, dev)
+    return worst

@@ -16,7 +16,6 @@ from quinticlab import (
     a5_orbit,
     all_s5,
     apply,
-    elementary_symmetric,
     eval_f,
     f_family,
     find_roots,
@@ -35,7 +34,7 @@ from quinticlab import (
 )
 from quinticlab.instances import random_instance
 
-from oracles import newton_elementary_from_power_sums
+from oracles import elementary_symmetric, newton_elementary_from_power_sums
 
 SEED = 1
 N_INSTANCES = 200

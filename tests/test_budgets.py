@@ -1,14 +1,53 @@
-"""Work budgets: memory bounds derived from arithmetic, not from timers.
+"""Work budgets: call counts and memory bounds derived from arithmetic, not
+from timers.
 
 A budget fails when a change adds work that the result does not need, on any
 machine, without a noisy wall-time measurement.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 
-from quinticlab import f_family, random_instance, relation_rank
+from quinticlab import f_family, random_instance, relation_rank, run_verify
+from quinticlab import kernels, polynomials
+
+
+def _tally_calls(monkeypatch, original, work=lambda args: 1) -> list:
+    """Count calls of ``original`` made through any quinticlab namespace.
+
+    ``from .x import y`` copies the binding into the importing module, so the
+    counting wrapper replaces every binding of the function object.
+    """
+    tally = []
+
+    def counted(*args, **kwargs):
+        tally.append(work(args))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "quinticlab" or name.startswith("quinticlab.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return tally
+
+
+def test_verify_work_per_instance(monkeypatch):
+    # One sweep per instance: 120 relabelings x 6 family members = 720 kernel
+    # rows.  The principal quintic of the five product values is expanded by
+    # phi_quintic and by newton_bridge_gaps: at most 2 expansions.
+    n = 50
+    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, lambda args: len(args[1]))
+    expansions = _tally_calls(monkeypatch, polynomials.poly_from_roots)
+
+    report = run_verify(1, n)
+
+    assert report["summary"]["ok"]
+    assert report["summary"]["skipped"] == []
+    assert sum(rows) == 720 * n
+    assert len(expansions) <= 2 * n
 
 
 def test_relation_rank_memory_is_linear_in_rows():

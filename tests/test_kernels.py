@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from quinticlab.kernels import backend_name, eval_f_rows, implementations
+from quinticlab import eval_f, f_family, random_instance
+from quinticlab.ffamily import FAMILY_PATTERNS
+from quinticlab.kernels import eval_f_rows
+from quinticlab.permutations import S5_IMAGES
 
 
 def _reference_rows(x, idx):
@@ -27,37 +30,12 @@ def random_case():
     return x, idx
 
 
-def test_backend_is_known():
-    assert backend_name() in ("compiled", "numpy")
-
-
 def test_matches_scalar_reference(random_case):
     x, idx = random_case
     got = eval_f_rows(x, idx)
     want = _reference_rows(x, idx)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
-
-
-def test_all_implementations_agree(random_case):
-    x, idx = random_case
-    impls = implementations()
-    results = {
-        name: impl(np.ascontiguousarray(x), np.ascontiguousarray(idx))
-        for name, impl in impls.items()
-    }
-    baseline = results["numpy"]
-    scale = float(np.max(np.abs(baseline)))
-    for name, res in results.items():
-        assert float(np.max(np.abs(res - baseline))) <= 1e-13 * scale, name
-
-
-def test_compiled_backend_present_unless_forced_off():
-    # The build compiles the extension; only QUINTICLAB_PURE hides it.
-    import os
-
-    if not os.environ.get("QUINTICLAB_PURE"):
-        assert "compiled" in implementations()
 
 
 def test_empty_batch(random_case):
@@ -76,3 +54,26 @@ def test_validation_errors(random_case):
     bad[0, 0] = 5
     with pytest.raises(ValueError):
         eval_f_rows(x, bad)
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).tobytes()
+
+
+def test_single_row_equals_its_family_row():
+    # eval_f makes a one-row call and f_family a six-row call; a row's value
+    # must not depend on how many rows share the call.
+    for i in range(200):
+        roots = random_instance(5, i)
+        assert _bits([eval_f(roots)]) == _bits([f_family(roots).f]), i
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128, 719])
+def test_sweep_is_bitwise_independent_of_chunking(chunk):
+    # The 720 rows of an S5 family sweep, evaluated at once and in chunks.
+    rows = S5_IMAGES[:, FAMILY_PATTERNS].reshape(-1, 5)
+    for i in range(50):
+        x = random_instance(3, i)
+        whole = eval_f_rows(x, rows)
+        parts = [eval_f_rows(x, rows[s : s + chunk]) for s in range(0, len(rows), chunk)]
+        assert _bits(np.concatenate(parts)) == _bits(whole), i

@@ -9,13 +9,12 @@ from quinticlab import (
     all_a5,
     all_s5,
     apply,
-    compose,
     identity,
-    inverse,
     sqrt_discriminant,
-    three_cycles,
 )
 from quinticlab.instances import random_instance
+
+from oracles import compose, inverse, three_cycles
 
 perm_strategy = st.permutations(range(5)).map(lambda img: Perm5(tuple(img)))
 

@@ -9,8 +9,6 @@ from scipy.optimize import linear_sum_assignment
 from quinticlab import (
     InvalidInputError,
     MonicPoly,
-    elementary_symmetric,
-    eval_poly,
     find_roots,
     is_degenerate,
     poly_from_roots,
@@ -19,7 +17,7 @@ from quinticlab import (
 )
 from quinticlab.instances import random_instance
 
-from oracles import newton_elementary_from_power_sums
+from oracles import elementary_symmetric, eval_poly, newton_elementary_from_power_sums
 
 finite_complex = st.builds(
     complex,

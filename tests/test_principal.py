@@ -9,7 +9,6 @@ from quinticlab import (
     apply,
     f_family,
     find_roots,
-    invariance_check,
     newton_bridge_gaps,
     phi,
     phi_quintic,
@@ -18,9 +17,9 @@ from quinticlab import (
 )
 from quinticlab.clustering import cluster_values
 from quinticlab.ffamily import FFamily, family_values_for_perms
-from quinticlab.principal import PhiFamily, phi_coeff_vector
+from quinticlab.principal import PhiFamily
 
-from oracles import phi_oracle
+from oracles import invariance_check, phi_coeff_vector, phi_oracle
 
 
 class TestPhi:

@@ -9,7 +9,6 @@ from quinticlab import (
     MonicPoly,
     a5_orbit,
     degree12_poly,
-    eval_resolvent_form,
     f_family,
     find_roots,
     fit_abc,
@@ -19,10 +18,10 @@ from quinticlab import (
 )
 from quinticlab.ffamily import FFamily, family_values_for_perms
 from quinticlab.instances import random_instance
-from quinticlab.permutations import S5_PARITY, all_s5, compose
+from quinticlab.permutations import S5_PARITY, all_s5
 from quinticlab.resolvent import _TAU_PARTNER, square_gap, two_valuedness_from_sweep
 
-from oracles import two_valuedness_reference
+from oracles import compose, eval_poly, eval_resolvent_form, two_valuedness_reference
 
 
 def _symbolic_sextic_coeffs():
@@ -68,8 +67,6 @@ class TestSexticFromFamily:
         sextic = sextic_from_family(fam)
         scale = max(1.0, float(np.max(np.abs(sextic.full_coeffs()))))
         for v in fam.values():
-            from quinticlab import eval_poly
-
             assert abs(eval_poly(sextic, v * v)) <= 1e-10 * scale
 
 
