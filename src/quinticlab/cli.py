@@ -99,16 +99,13 @@ def _cmd_orbit(args) -> dict:
             raise InvalidInputError("--n must be >= 1")
         counts, pair_ok, families = [], [], []
         for index in range(args.n):
-            roots = random_instance(args.seed, index)
-            report = a5_orbit(roots, args.dedup_tol)
+            report = a5_orbit(random_instance(args.seed, index), args.dedup_tol)
             counts.append(len(report.values))
             pair_ok.append(len(report.pair_map) == 6)
-            families.append(f_family(roots))
+            families.append(report.family)
         if len(families) >= 10:
             rel = relation_rank(families)
-            singular = list(rel.singular_values)
-            ratio = singular[3] / singular[0] if singular[0] > 0 else 0.0
-            rank = rel.rank
+            singular, ratio, rank = list(rel.singular_values), rel.ratio_s4_s1, rel.rank
         else:
             singular, ratio, rank = None, None, None
         ok = (

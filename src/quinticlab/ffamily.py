@@ -78,13 +78,15 @@ class OrbitReport:
     When ``degenerate`` is False: ``values`` has exactly 12 entries,
     ``pair_map`` holds 6 disjoint index pairs (i, j) with values[j] = -values[i],
     and ``family_match[i]`` is the signed label (e.g. '+f', '-f3') matching
-    values[i].
+    values[i].  ``family`` is the labeled family of the input tuple, the one
+    the labels refer to.
     """
 
     values: tuple[complex, ...]
     pair_map: tuple[tuple[int, int], ...]
     family_match: tuple[str, ...]
     degenerate: bool
+    family: FFamily
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,12 @@ class RelationReport:
     singular_values: tuple[float, ...]
     null_basis: tuple[tuple[complex, ...], ...] | None
     integer_relations: tuple[tuple[int, ...], ...] | None
+
+    @property
+    def ratio_s4_s1(self) -> float:
+        """sigma_4 / sigma_1, or 0 when sigma_1 is 0."""
+        top = self.singular_values[0]
+        return self.singular_values[3] / top if top > 0.0 else 0.0
 
 
 def eval_f(roots: Sequence[complex]) -> complex:
@@ -188,7 +196,11 @@ def _orbit_report(evals: np.ndarray, fam: FFamily, tol: float) -> OrbitReport:
 
     family_match = family_labels(values, fam, max(tol, 1e-10) * scale)
     return OrbitReport(
-        values=values, pair_map=pair_map, family_match=family_match, degenerate=False
+        values=values,
+        pair_map=pair_map,
+        family_match=family_match,
+        degenerate=False,
+        family=fam,
     )
 
 
@@ -202,13 +214,17 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     """
     rt = as_root_tuple(roots)
     rows = eval_f_rows(rt, _ORBIT_ROWS)
-    evals, family = rows[:60], rows[60:]
+    evals, family = rows[:60], FFamily.from_row(rows[60:])
     if is_degenerate(rt):
         clusters = cluster_values(evals, tol)
         return OrbitReport(
-            values=clusters.centers, pair_map=(), family_match=(), degenerate=True
+            values=clusters.centers,
+            pair_map=(),
+            family_match=(),
+            degenerate=True,
+            family=family,
         )
-    return _orbit_report(evals, FFamily.from_row(family), tol)
+    return _orbit_report(evals, family, tol)
 
 
 def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:

@@ -98,8 +98,9 @@ class InstanceSpec:
     def root_tuple(self) -> tuple[complex, ...]:
         """Resolve the spec to an ordered root tuple.
 
-        Coefficient input is solved numerically; the recovered roots are
-        sorted by (real, imag) so the labeling is reproducible.
+        Coefficient input is solved by :func:`find_roots` (companion-matrix
+        eigenvalues); the recovered roots are sorted by (real, imag) so the
+        labeling is reproducible.
         """
         if self.roots is not None:
             return as_root_tuple(self.roots)

@@ -1,5 +1,5 @@
-"""Complex monic polynomials: construction, simultaneous root finding, power
-sums, and the signed discriminant root.
+"""Complex monic polynomials: construction, root finding, power sums, and the
+signed discriminant root.
 
 All comparisons in this package are relative to ``max(1, magnitude)`` so the
 same tolerances are meaningful across coefficient scales.
@@ -33,7 +33,6 @@ MAX_DEGREE = 12
 DEGENERACY_FLOOR = 1e-8
 
 _ROOT_FINDER_RESIDUAL = 1e-12
-_ROOT_FINDER_STEP = 1e-13
 
 
 def _is_finite(z: complex) -> bool:
@@ -96,73 +95,43 @@ def poly_from_roots(roots: Sequence[complex]) -> MonicPoly:
     return MonicPoly(tuple(c[1:]))
 
 
-def _horner_many(full: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full_like(z, full[0])
-    for c in full[1:]:
-        acc = acc * z + c
-    return acc
+def find_roots(p: MonicPoly) -> list[complex]:
+    """All roots, as the eigenvalues of the balanced companion matrix.
 
-
-def find_roots(p: MonicPoly, max_iter: int = 500) -> list[complex]:
-    """All roots by simultaneous (Aberth-Ehrlich) iteration.
-
-    Converged when every residual satisfies
-    ``|p(z)| <= 1e-12 * max(1, max|coeff|)`` and the last correction step was
-    negligible (a fixed point).  When a root's magnitude makes that bound
-    tighter than evaluation roundoff (|p(z)| cannot beat
+    ``numpy.roots`` computes them; they are backward stable in the
+    coefficients.  One Newton step follows, kept for each root only where it
+    lowers ``|p(z)|``.  Accepted when every residual satisfies
+    ``|p(z)| <= 1e-12 * max(1, max|coeff|)``.  When a root's magnitude makes
+    that bound tighter than evaluation roundoff (|p(z)| cannot beat
     ``eps * sum |c_j| |z|^j`` in doubles), the roundoff floor applies for that
     root instead.  Raises :class:`NumericFailureError` carrying the worst
-    residual if the iteration cap is hit.
+    residual when a root fails that test or is not finite, and without one
+    when the eigenvalue solver fails.
     """
-    n = p.degree
     full = p.full_coeffs()
-    scale = max(1.0, float(np.max(np.abs(full))))
-    resid_tol = _ROOT_FINDER_RESIDUAL * scale
-    abs_coeffs = np.abs(full)
-    eval_floor_factor = 4.0 * np.finfo(float).eps
-    deriv = full[:-1] * np.arange(n, 0, -1)
-
-    # Fujiwara-style bound on root magnitudes gives the starting circle.
-    mags = np.abs(full[1:])
-    nonzero = [m ** (1.0 / (k + 1)) for k, m in enumerate(mags) if m > 0.0]
-    radius = max(2.0 * max(nonzero) if nonzero else 0.0, 1e-3)
-
-    k = np.arange(n)
-    # Angle offset and slight radius stagger break symmetric stalls.
-    z = radius * (1.0 + 0.05 * k / n) * np.exp(2j * np.pi * (k + 0.35) / n)
-
-    last_step = np.inf
-    for _ in range(max_iter):
-        pv = _horner_many(full, z)
-        resid = np.abs(pv)
-        eval_scale = _horner_many(abs_coeffs, np.abs(z))
-        tol_per_root = np.maximum(resid_tol, eval_floor_factor * eval_scale)
-        step_ok = last_step <= _ROOT_FINDER_STEP * (1.0 + float(np.max(np.abs(z))))
-        if bool(np.all(resid <= tol_per_root)) and step_ok:
-            return [complex(v) for v in z]
-        dv = _horner_many(deriv, z)
-        dv = np.where(np.abs(dv) == 0.0, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        repulse = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal fill
-        denom = 1.0 - newton * repulse
-        denom = np.where(np.abs(denom) == 0.0, 1e-300, denom)
-        w = newton / denom
-        z = z - w
-        if not np.all(np.isfinite(z.view(np.float64))):
-            raise NumericFailureError(
-                "root iteration diverged to non-finite values",
-                worst_residual=float(np.max(resid)),
-            )
-        last_step = float(np.max(np.abs(w)))
-
-    worst = float(np.max(np.abs(_horner_many(full, z))))
-    raise NumericFailureError(
-        f"root finding did not converge within {max_iter} iterations "
-        f"(worst residual {worst:.3e}, tolerance {resid_tol:.3e})",
-        worst_residual=worst,
-    )
+    try:
+        z = np.roots(full)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"root finding: companion eigenvalues failed: {exc}") from exc
+    with np.errstate(all="ignore"):
+        pz = np.polyval(full, z)
+        stepped = z - pz / np.polyval(np.polyder(full), z)
+        resid, stepped_resid = np.abs(pz), np.abs(np.polyval(full, stepped))
+        better = stepped_resid < resid  # False where the step is not finite
+        z = np.where(better, stepped, z)
+        resid = np.where(better, stepped_resid, resid)
+        floor = 4.0 * np.finfo(float).eps * np.polyval(np.abs(full), np.abs(z))
+    resid_tol = _ROOT_FINDER_RESIDUAL * max(1.0, float(np.max(np.abs(full))))
+    worst = float(np.max(resid))
+    if not np.all(np.isfinite(z)):
+        raise NumericFailureError("root finding: non-finite roots", worst_residual=worst)
+    if not np.all(resid <= np.maximum(resid_tol, floor)):
+        raise NumericFailureError(
+            f"root finding: residuals above tolerance "
+            f"(worst residual {worst:.3e}, tolerance {resid_tol:.3e})",
+            worst_residual=worst,
+        )
+    return [complex(v) for v in z]
 
 
 def power_sums(values: Sequence[complex], k_max: int) -> list[complex]:

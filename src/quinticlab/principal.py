@@ -73,12 +73,18 @@ class SuppressedCoeffs:
 
 @dataclass(frozen=True)
 class PrincipalQuintic:
-    """Coefficients of z^5 + p z^3 + q z + r through the five product values."""
+    """Coefficients of z^5 + p z^3 + q z + r through the five product values.
+
+    ``c4`` and ``c2`` are the expanded z^4 and z^2 coefficients, zero up to
+    rounding; ``suppressed`` holds their relative magnitudes.
+    """
 
     p: complex
     q: complex
     r: complex
     suppressed: SuppressedCoeffs
+    c4: complex
+    c2: complex
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def phi_quintic(pf: PhiFamily) -> PrincipalQuintic:
             f"z^4 and z^2 coefficients failed to vanish: "
             f"|c4| = {c4_mag:.3e}, |c2| = {c2_mag:.3e} relative"
         )
-    return PrincipalQuintic(p=c3, q=c1, r=c0, suppressed=suppressed)
+    return PrincipalQuintic(p=c3, q=c1, r=c0, suppressed=suppressed, c4=c4, c2=c2)
 
 
 def power_sum_check(pf: PhiFamily) -> PowerSumCheck:
@@ -179,20 +185,19 @@ def power_sum_check(pf: PhiFamily) -> PowerSumCheck:
     )
 
 
-def newton_bridge_gaps(pf: PhiFamily) -> tuple[float, float]:
+def newton_bridge_gaps(pf: PhiFamily, quintic: PrincipalQuintic) -> tuple[float, float]:
     """Agreement between the coefficient route and the power-sum route.
 
-    The z^4 coefficient equals -e1 = -p1, and (once e1 vanishes) the z^2
-    coefficient equals -e3 = -p3/3.  Returns the two relative gaps between
-    the polynomial-expansion coefficients and the power-sum reconstructions.
+    ``quintic`` is ``phi_quintic(pf)``.  Its z^4 coefficient equals
+    -e1 = -p1, and (once e1 vanishes) its z^2 coefficient equals
+    -e3 = -p3/3.  Returns the two relative gaps between the
+    polynomial-expansion coefficients and the power-sum reconstructions.
     """
-    quintic = poly_from_roots(pf.values)
-    c4, _, c2, _, _ = quintic.coeffs
     p1, p2, p3 = power_sums(pf.values, 3)
     e1 = p1
     e2 = (e1 * p1 - p2) / 2.0
     e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
     scales = _coeff_scales(pf.values)
-    gap4 = abs(c4 - (-e1)) / scales[0]
-    gap2 = abs(c2 - (-e3)) / scales[2]
+    gap4 = abs(quintic.c4 - (-e1)) / scales[0]
+    gap2 = abs(quintic.c2 - (-e3)) / scales[2]
     return (gap4, gap2)

@@ -151,7 +151,7 @@ def verify_sweep(
         record["principal"]["p2_magnitude"] = ps.p2_magnitude
         if max(ps.p1, ps.p3) > SPREAD_TOL:
             failures.append("principal: power sums above tolerance")
-        gap4, gap2 = newton_bridge_gaps(pf)
+        gap4, gap2 = newton_bridge_gaps(pf, quintic)
         record["principal"]["newton_gap4"] = gap4
         record["principal"]["newton_gap2"] = gap2
         if max(gap4, gap2) > NEWTON_BRIDGE_TOL:
@@ -208,19 +208,14 @@ def run_verify(
     }
     if len(families) >= 10:
         rel = relation_rank(families, rank_tol)
-        ratio = (
-            rel.singular_values[3] / rel.singular_values[0]
-            if rel.singular_values[0] > 0.0
-            else 0.0
-        )
         rank_section.update(
             rank=rel.rank,
             singular_values=list(rel.singular_values),
-            ratio_s4_s1=ratio,
+            ratio_s4_s1=rel.ratio_s4_s1,
         )
         if rel.rank != 3:
             batch_failures.append(f"rank test: numerical rank {rel.rank} != 3")
-        elif ratio >= rank_tol:
+        elif rel.ratio_s4_s1 >= rank_tol:
             batch_failures.append("rank test: sigma4/sigma1 above threshold")
     else:
         # The rank claim needs at least 10 usable rows; with fewer the test

@@ -12,6 +12,7 @@ import numpy as np
 
 from quinticlab import f_family, random_instance, relation_rank, run_verify
 from quinticlab import kernels, polynomials
+from quinticlab.cli import main
 
 
 def _tally_calls(monkeypatch, original, work=lambda args: 1) -> list:
@@ -36,8 +37,8 @@ def _tally_calls(monkeypatch, original, work=lambda args: 1) -> list:
 
 def test_verify_work_per_instance(monkeypatch):
     # One sweep per instance: 120 relabelings x 6 family members = 720 kernel
-    # rows.  The principal quintic of the five product values is expanded by
-    # phi_quintic and by newton_bridge_gaps: at most 2 expansions.
+    # rows.  The principal quintic of the five product values is expanded
+    # once, by phi_quintic; newton_bridge_gaps reads its coefficients.
     n = 50
     rows = _tally_calls(monkeypatch, kernels.eval_f_rows, lambda args: len(args[1]))
     expansions = _tally_calls(monkeypatch, polynomials.poly_from_roots)
@@ -47,7 +48,21 @@ def test_verify_work_per_instance(monkeypatch):
     assert report["summary"]["ok"]
     assert report["summary"]["skipped"] == []
     assert sum(rows) == 720 * n
-    assert len(expansions) <= 2 * n
+    assert len(expansions) == n
+
+
+def test_batch_orbit_work_per_instance(monkeypatch, capsys):
+    # One kernel call per instance: 60 even relabelings of f plus the 6
+    # family rows, which the rank test reuses.
+    n = 16
+    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, lambda args: len(args[1]))
+
+    code = main(["orbit", "--seed", "5", "--n", str(n), "--format", "json"])
+    capsys.readouterr()
+
+    assert code == 0
+    assert len(rows) == n
+    assert sum(rows) == 66 * n
 
 
 def test_relation_rank_memory_is_linear_in_rows():

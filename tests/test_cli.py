@@ -2,11 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from quinticlab.cli import main
 from quinticlab.instances import complex_to_pair, random_instance
-from quinticlab.polynomials import poly_from_roots
+from quinticlab.polynomials import MonicPoly, find_roots, poly_from_roots
 
 
 def run_json(capsys, *argv):
@@ -70,6 +71,65 @@ class TestResolve:
         path = tmp_path / "coeffs.json"
         path.write_text(json.dumps({"coefficients": [[0.0, 0.0]] * 5}), encoding="utf-8")
         assert main(["resolve", "--roots", str(path)]) == 2
+
+
+class TestCoefficientInput:
+    # ROADMAP item 15: a well-separated annulus quintic (smallest root gap
+    # 0.022) on which a fixed-point stopping test never stopped.
+    ITEM15_COEFFS = [
+        [-3.7966206461440413, -0.5864510844026034],
+        [5.960375703791451, 1.720014235260542],
+        [-4.856701240592338, -1.9517139289474787],
+        [2.0714022399063547, 0.9983134430840934],
+        [-0.3707913073010201, -0.18969939721858958],
+    ]
+    ITEM15_ROOTS = [
+        0.7360641988988141 - 0.16201463459804985j,
+        0.933421938247535 + 0.4303620321371415j,
+        0.7068073523607976 + 0.6969238082344862j,
+        0.7167492634227816 - 0.15180949185966627j,
+        0.7035778932141131 - 0.22701062951130818j,
+    ]
+
+    @pytest.mark.parametrize("command", ["resolve", "orbit", "brioschi"])
+    def test_item15_quintic_recovers_its_roots(self, command, tmp_path, capsys):
+        path = tmp_path / "item15.json"
+        path.write_text(json.dumps({"coefficients": self.ITEM15_COEFFS}), encoding="utf-8")
+        code, payload = run_json(capsys, command, "--coeffs", str(path))
+        assert code == 0
+        assert payload["ok"] is True
+        found = [complex(re, im) for re, im in payload["roots"]]
+        for z in self.ITEM15_ROOTS:
+            assert min(abs(w - z) for w in found) <= 1e-12 * abs(z)
+
+    @staticmethod
+    def _clustered_roots(seed: int) -> np.ndarray:
+        """Annulus roots at scale 1e-2..1e2 with seed % 3 near-collisions
+        (gaps 1e-10..1e-3 relative to the scale)."""
+        rng = np.random.default_rng([25, seed])
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        roots = np.sqrt(rng.uniform(0.25, 2.25, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
+        for pair in range(seed % 3):
+            gap = 10.0 ** rng.uniform(-10.0, -3.0)
+            roots[2 * pair + 1] = roots[2 * pair] + gap * np.exp(2j * np.pi * rng.uniform())
+        return scale * roots
+
+    def test_ill_conditioned_files_end_in_a_documented_outcome(self, tmp_path, capsys):
+        bad = []
+        for seed in range(100):
+            coeffs = np.poly(self._clustered_roots(seed))[1:]
+            find_roots(MonicPoly(tuple(coeffs)))
+            path = tmp_path / f"coeffs-{seed}.json"
+            path.write_text(
+                json.dumps({"coefficients": [complex_to_pair(c) for c in coeffs]}),
+                encoding="utf-8",
+            )
+            for command in ("resolve", "orbit", "brioschi"):
+                code = main([command, "--coeffs", str(path), "--format", "json"])
+                err = capsys.readouterr().err
+                if code not in (0, 3, 4) or "root finding" in err:
+                    bad.append((seed, command, code, err))
+        assert bad == []
 
 
 class TestOrbit:

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from quinticlab import (
     InvalidInputError,
     MonicPoly,
+    NumericFailureError,
     find_roots,
     is_degenerate,
     poly_from_roots,
@@ -106,14 +107,27 @@ class TestFindRoots:
         ri, ci = linear_sum_assignment(cost)
         assert float(cost[ri, ci].max()) < 1e-7
 
-    def test_iteration_cap_reports_worst_residual(self):
-        from quinticlab import NumericFailureError
-
+    def test_residual_failure_reports_worst_residual(self, monkeypatch):
+        # Eigenvalues 1e-3 off are still ~1e-6 off after one Newton step,
+        # far above the 1e-12 residual tolerance.
         p = poly_from_roots(random_instance(2, 0))
+        exact = np.roots(p.full_coeffs())
+        monkeypatch.setattr(np, "roots", lambda c: exact + 1e-3)
         with pytest.raises(NumericFailureError) as excinfo:
-            find_roots(p, max_iter=1)
+            find_roots(p)
         assert excinfo.value.worst_residual is not None
         assert excinfo.value.worst_residual > 0
+
+    @pytest.mark.parametrize("outcome", ["linalg_error", "nan"])
+    def test_eigenvalue_solver_failure_is_numeric_failure(self, monkeypatch, outcome):
+        def broken_roots(c):
+            if outcome == "linalg_error":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.full(len(c) - 1, np.nan + 0j)
+
+        monkeypatch.setattr(np, "roots", broken_roots)
+        with pytest.raises(NumericFailureError, match="root finding"):
+            find_roots(poly_from_roots(random_instance(2, 0)))
 
 
 class TestSymmetricFunctions:

@@ -111,7 +111,8 @@ class TestPowerSums:
         assert sums.p2_magnitude == 0
 
     def test_newton_bridge_routes_agree(self, seeded_roots):
-        gap4, gap2 = newton_bridge_gaps(phi_values(seeded_roots))
+        pf = phi_values(seeded_roots)
+        gap4, gap2 = newton_bridge_gaps(pf, phi_quintic(pf))
         assert gap4 <= 1e-10
         assert gap2 <= 1e-10
 
