@@ -188,36 +188,21 @@ def _cmd_verify(args) -> dict:
 def _render_text(payload: dict) -> str:
     lines = []
 
-    def fmt(v):
-        if isinstance(v, list) and len(v) == 2 and all(isinstance(x, float) for x in v):
-            return f"{v[0]:+.12g}{v[1]:+.12g}i"
-        return repr(v)
+    def is_pair(v) -> bool:
+        return isinstance(v, list) and len(v) == 2 and all(isinstance(x, float) for x in v)
+
+    def fmt(v) -> str:
+        return f"{v[0]:+.12g}{v[1]:+.12g}i" if is_pair(v) else repr(v)
 
     def walk(obj, indent=""):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if isinstance(v, (dict, list)) and not (
-                    isinstance(v, list)
-                    and len(v) == 2
-                    and all(isinstance(x, float) for x in v)
-                ):
-                    lines.append(f"{indent}{k}:")
-                    walk(v, indent + "  ")
-                else:
-                    lines.append(f"{indent}{k}: {fmt(v)}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)) and not (
-                    isinstance(v, list)
-                    and len(v) == 2
-                    and all(isinstance(x, float) for x in v)
-                ):
-                    lines.append(f"{indent}-")
-                    walk(v, indent + "  ")
-                else:
-                    lines.append(f"{indent}- {fmt(v)}")
-        else:
-            lines.append(f"{indent}{obj!r}")
+        items = obj.items() if isinstance(obj, dict) else (("-", v) for v in obj)
+        for k, v in items:
+            head = f"{indent}{k}:" if isinstance(obj, dict) else f"{indent}-"
+            if isinstance(v, (dict, list)) and not is_pair(v):
+                lines.append(head)
+                walk(v, indent + "  ")
+            else:
+                lines.append(f"{head} {fmt(v)}")
 
     walk(payload)
     return "\n".join(lines)
@@ -258,7 +243,7 @@ def _add_source_args(sp) -> None:
 def _add_common_args(sp, default_tol: float) -> None:
     sp.add_argument("--tol", type=float, default=default_tol, help="acceptance tolerance")
     sp.add_argument(
-        "--dedup-tol", type=float, default=DEDUP_TOL, help="value clustering tolerance"
+        "--dedup-tol", type=float, default=DEDUP_TOL, help="value counting tolerance"
     )
     sp.add_argument("--out", metavar="FILE", help="also write the JSON document here")
     sp.add_argument("--format", choices=("json", "text"), default="text")

@@ -10,6 +10,9 @@ tolerance choice.
 
 Inputs are orbit sweeps of at most 120 values, so the clusters are found on
 the dense pairwise-distance matrix.
+
+Where the permutation action fixes which sweep rows are copies of one value,
+:func:`class_values` gates that class map by the same threshold and rule.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .errors import NumericFailureError
 
-__all__ = ["ClusterResult", "cluster_values", "DEDUP_TOL", "DEDUP_TOL_FLOOR"]
+__all__ = ["ClusterResult", "cluster_values", "class_values", "first_occurrence",
+           "DEDUP_TOL", "DEDUP_TOL_FLOOR"]
 
 DEDUP_TOL = 1e-7
 DEDUP_TOL_FLOOR = 1e-10
@@ -59,13 +63,16 @@ def _component_labels(adjacency: np.ndarray) -> np.ndarray:
         labels = nxt
 
 
+def _threshold(vals: np.ndarray, tol: float) -> float:
+    return max(float(tol), DEDUP_TOL_FLOOR) * max(1.0, float(np.max(np.abs(vals))))
+
+
 def cluster_values(values, tol: float = DEDUP_TOL) -> ClusterResult:
     """Cluster ``values`` with relative tolerance ``tol`` (floor 1e-10)."""
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 1 or vals.size == 0:
         raise NumericFailureError("clustering needs a nonempty 1-d value list")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    threshold = max(float(tol), DEDUP_TOL_FLOOR) * scale
+    threshold = _threshold(vals, tol)
 
     dist = np.abs(vals[:, None] - vals[None, :])
     labels = _component_labels(dist <= threshold)
@@ -98,3 +105,35 @@ def cluster_values(values, tol: float = DEDUP_TOL) -> ClusterResult:
         threshold=threshold,
         min_gap=min_gap,
     )
+
+
+def first_occurrence(keys) -> np.ndarray:
+    """Class of each key, the classes numbered in order of first occurrence."""
+    seen: dict = {}
+    return np.array([seen.setdefault(key, len(seen)) for key in keys])
+
+
+def class_values(values, classes, tol: float = DEDUP_TOL) -> ClusterResult:
+    """:func:`cluster_values` for values whose classes are known.
+
+    ``classes`` numbers the class of each value as :func:`first_occurrence`
+    does.  The centers are the class means, summed in input order as
+    :func:`cluster_values` sums them, so the two agree bitwise.  Raises
+    :class:`NumericFailureError` unless every value lies within the threshold
+    of its class mean and the means lie at least 10x the threshold apart;
+    ``min_gap`` is their smallest distance.
+    """
+    vals = np.asarray(values, dtype=complex)
+    threshold = _threshold(vals, tol)
+    counts = np.bincount(classes)
+    centers = (np.bincount(classes, vals.real) + 1j * np.bincount(classes, vals.imag)) / counts
+    spread = float(np.max(np.abs(vals - centers[classes])))
+    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(counts.size, np.inf))
+    min_gap = float(gaps.min())
+    if not (spread <= threshold and min_gap >= AMBIGUITY_FACTOR * threshold):  # NaN fails
+        raise NumericFailureError(
+            f"ambiguous count: copies of one value lie up to {spread:.3e} apart and "
+            f"distinct values {min_gap:.3e} apart, against the threshold {threshold:.3e}"
+        )
+    centers = tuple(complex(z) for z in centers)
+    return ClusterResult(centers, tuple(int(k) for k in counts), threshold, min_gap)

@@ -8,6 +8,10 @@ the labeled family ``(+-f, +-f_0, ..., +-f_4)``.  Stacked family rows from
 independent instances span a 3-dimensional subspace: the six values
 satisfy three linear relations with golden-ratio coefficients, known in
 closed form, which :func:`relation_rank` confirms by a numerical rank test.
+
+Which relabelings give equal or opposite values is a fact about the group, so
+the orbit's classes, sign pairs and labels are constant tables derived here
+from the permutation images; per instance only the gates are measured.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import DEDUP_TOL, cluster_values
+from .clustering import DEDUP_TOL, class_values, first_occurrence
 from .errors import InvalidInputError, NumericFailureError
 from .kernels import eval_f_rows
-from .permutations import A5_IN_S5, S5_IMAGES, Perm5
+from .permutations import A5_IN_S5, S5_IMAGES, s5_index
 from .polynomials import as_root_tuple, is_degenerate
 
 __all__ = [
@@ -29,10 +33,9 @@ __all__ = [
     "RelationReport",
     "eval_f",
     "f_family",
-    "family_values_for_perms",
+    "family_sweep",
     "a5_orbit",
     "orbit_from_sweep",
-    "family_labels",
     "relation_rank",
     "RANK_TOL",
 ]
@@ -47,11 +50,35 @@ FAMILY_PATTERNS = np.array(
 )
 
 _LABELS = ("f", "f0", "f1", "f2", "f3", "f4")
-# Labels of the signed targets (+family, -family) that orbit values match.
-_SIGNED_LABELS = tuple("+" + label for label in _LABELS) + tuple("-" + label for label in _LABELS)
 
-# f on the 60 even relabelings, then the family rows: one kernel call per orbit.
-_ORBIT_ROWS = np.concatenate([S5_IMAGES[A5_IN_S5], FAMILY_PATTERNS])
+
+# f is unchanged when the tuple's positions are rotated (it sums over m) and
+# changes sign when they are reflected, i -> -i mod 5 (which maps each sine
+# weight n to 5 - n).  So at each S5 row r, f is _F_SIGN[r] times f at row
+# _F_CLASS[r], the dihedral image of r with label 0 first and the smaller of
+# its neighbours second.
+_zero_at = np.argmin(S5_IMAGES, axis=1)[:, None]
+_rotated = S5_IMAGES[np.arange(120)[:, None], (_zero_at + np.arange(5)) % 5]
+_reflect = _rotated[:, 1] > _rotated[:, 4]
+_F_CLASS = s5_index(np.where(_reflect[:, None], _rotated[:, [0, 4, 3, 2, 1]], _rotated))
+_F_SIGN = 1 - 2 * _reflect
+
+# Column j of sweep row p is f at S5 row _SWEEP_ROWS[p, j]: the tuple relabeled
+# by permutation p, read in family pattern j.
+_SWEEP_ROWS = s5_index(S5_IMAGES[:, FAMILY_PATTERNS])
+
+# The signed family member (+-f_j, numbered j or 6 + j) that f equals at each
+# even row; the family patterns are even rows themselves.  The orbit's classes
+# are the members in order of first occurrence, paired with their negations.
+_FAMILY_ROWS = _SWEEP_ROWS[0]
+_j = (_F_CLASS[A5_IN_S5][:, None] == _F_CLASS[_FAMILY_ROWS]).argmax(axis=1)
+_even_members = (_j + 6 * (_F_SIGN[A5_IN_S5] != _F_SIGN[_FAMILY_ROWS][_j])).tolist()
+_ORBIT_CLASS = first_occurrence(_even_members)
+_ORBIT_MEMBER = list(dict.fromkeys(_even_members))
+_FAMILY_MATCH = tuple("+-"[k // 6] + _LABELS[k % 6] for k in _ORBIT_MEMBER)
+_partner = [_ORBIT_MEMBER.index((k + 6) % 12) for k in _ORBIT_MEMBER]
+_PAIR_MAP = tuple((i, j) for i, j in enumerate(_partner) if i < j)
+_FAMILY_IN_A5 = np.searchsorted(A5_IN_S5, _FAMILY_ROWS)
 
 
 @dataclass(frozen=True)
@@ -79,7 +106,7 @@ class OrbitReport:
     ``pair_map`` holds 6 disjoint index pairs (i, j) with values[j] = -values[i],
     and ``family_match[i]`` is the signed label (e.g. '+f', '-f3') matching
     values[i].  ``family`` is the labeled family of the input tuple, the one
-    the labels refer to.
+    the labels refer to.  A degenerate orbit has no values, pairs or labels.
     """
 
     values: tuple[complex, ...]
@@ -129,79 +156,31 @@ def f_family(roots: Sequence[complex]) -> FFamily:
     return FFamily.from_row(eval_f_rows(rt, FAMILY_PATTERNS))
 
 
-def family_values_for_perms(roots, perms: Sequence[Perm5]) -> np.ndarray:
-    """Family values of every relabeled tuple, shape (len(perms), 6).
+def family_sweep(roots) -> np.ndarray:
+    """Family values of the tuple under every relabeling, shape (120, 6).
 
-    Row p equals ``f_family(apply(perms[p], roots)).values()``; the whole
-    sweep is a single batched kernel call.
+    Row p equals ``f_family(apply(all_s5()[p], roots)).values()``.  The 720
+    entries are f at the 120 rows of one kernel call, gathered; kernel rows
+    do not depend on the batch, so they equal a 720-row call bitwise.
     """
-    rt = as_root_tuple(roots)
-    images = np.array([p.image for p in perms], dtype=np.int64)
-    rows = images[:, FAMILY_PATTERNS]  # (P, 6, 5)
-    flat = eval_f_rows(rt, rows.reshape(-1, 5))
-    return flat.reshape(len(perms), 6)
+    return eval_f_rows(as_root_tuple(roots), S5_IMAGES)[_SWEEP_ROWS]
 
 
-def family_labels(values, fam: FFamily, threshold: float) -> tuple[str, ...]:
-    """Signed family label (e.g. '+f', '-f3') of each of 12 orbit values.
+def _orbit_report(evals: np.ndarray, family: np.ndarray, tol: float) -> OrbitReport:
+    """The 12 orbit values of the 60 even-relabeling values of f.
 
-    Each value takes the label of its nearest signed family member.  Raises
-    :class:`NumericFailureError` when a value is farther than ``threshold``
-    from its nearest member, or when two values share one nearest member, so
-    that accepted labels are a bijection onto the 12 signed members.  The
-    orbit values are pairwise more than 10x ``threshold`` apart (the
-    clustering's ambiguity rule), so an accepted labeling is also the optimal
-    assignment of values to members.
+    Classes, sign pairs and labels are the constant tables.  Gated are the
+    classes (:func:`~quinticlab.clustering.class_values`) and, at the same
+    threshold, each orbit value against its signed family member.
     """
-    vals = np.asarray(values, dtype=complex)
-    family = np.asarray(fam.values(), dtype=complex)
-    targets = np.concatenate([family, -family])
-    cost = np.abs(vals[:, None] - targets[None, :])
-    nearest = cost.argmin(axis=1)
-    if float(cost[np.arange(vals.size), nearest].max()) > threshold:
+    clusters = class_values(evals, _ORBIT_CLASS, tol)
+    targets = np.concatenate([family, -family])[_ORBIT_MEMBER]
+    if not np.abs(np.asarray(clusters.centers) - targets).max() <= clusters.threshold:
         raise NumericFailureError(
             "orbit values do not match the signed family within tolerance"
         )
-    if np.unique(nearest).size != targets.size:
-        raise NumericFailureError(
-            "orbit values and signed family members do not match one to one"
-        )
-    return tuple(_SIGNED_LABELS[k] for k in nearest)
-
-
-def _orbit_report(evals: np.ndarray, fam: FFamily, tol: float) -> OrbitReport:
-    """Cluster the 60 even-relabeling values of f, pair signs, label them."""
-    clusters = cluster_values(evals, tol)
-    values = clusters.centers
-    if len(values) != 12:
-        raise NumericFailureError(
-            f"expected 12 orbit values, found {len(values)}; "
-            "instance is likely near-degenerate"
-        )
-    vals = np.asarray(values)
-    scale = max(1.0, float(np.abs(vals).max()))
-    index = np.arange(12)
-
-    # Sign pairing: each value must match the negation of exactly one other.
-    sums = np.abs(vals[:, None] + vals[None, :])
-    partner = sums.argmin(axis=1)
-    unpaired = np.flatnonzero((sums[index, partner] > clusters.threshold) | (partner == index))
-    if unpaired.size:
-        raise NumericFailureError(
-            f"orbit value {values[unpaired[0]]:.6g} has no negation partner within tolerance"
-        )
-    if np.any(partner[partner] != index):
-        raise NumericFailureError("sign pairing is not an involution")
-    pair_map = tuple((i, int(partner[i])) for i in range(12) if i < partner[i])
-
-    family_match = family_labels(values, fam, max(tol, 1e-10) * scale)
-    return OrbitReport(
-        values=values,
-        pair_map=pair_map,
-        family_match=family_match,
-        degenerate=False,
-        family=fam,
-    )
+    return OrbitReport(values=clusters.centers, pair_map=_PAIR_MAP, family_match=_FAMILY_MATCH,
+                       degenerate=False, family=FFamily.from_row(family))
 
 
 def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
@@ -210,30 +189,25 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     Generic input yields exactly 12 values closing under negation into 6
     pairs, each matching one signed family member.  Near-degenerate input
     (by the |sqrt disc| floor) is reported with ``degenerate=True`` and no
-    pairing analysis.
+    values.  The family patterns are even rows, so one kernel call of the 60
+    even rows gives both the orbit and the family.
     """
     rt = as_root_tuple(roots)
-    rows = eval_f_rows(rt, _ORBIT_ROWS)
-    evals, family = rows[:60], FFamily.from_row(rows[60:])
+    evals = eval_f_rows(rt, S5_IMAGES[A5_IN_S5])
+    family = evals[_FAMILY_IN_A5]
     if is_degenerate(rt):
-        clusters = cluster_values(evals, tol)
-        return OrbitReport(
-            values=clusters.centers,
-            pair_map=(),
-            family_match=(),
-            degenerate=True,
-            family=family,
-        )
+        return OrbitReport(values=(), pair_map=(), family_match=(), degenerate=True,
+                           family=FFamily.from_row(family))
     return _orbit_report(evals, family, tol)
 
 
 def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:
     """:func:`a5_orbit` of a non-degenerate instance, read from its sweep.
 
-    ``sweep`` is ``family_values_for_perms(roots, all_s5())``: column 0 at
-    the even rows is the orbit of f, and row 0 (the identity) is the family.
+    ``sweep`` is ``family_sweep(roots)``: column 0 at the even rows is the
+    orbit of f, and row 0 (the identity) is the family.
     """
-    return _orbit_report(sweep[A5_IN_S5, 0], FFamily.from_row(sweep[0]), tol)
+    return _orbit_report(sweep[A5_IN_S5, 0], sweep[0], tol)
 
 
 def _rref(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = [
     "S5_IMAGES",
     "S5_PARITY",
     "A5_IN_S5",
+    "s5_index",
 ]
 
 
@@ -65,6 +66,14 @@ A5_IN_S5 = np.flatnonzero(S5_PARITY == 1)
 S5_IMAGES.setflags(write=False)
 S5_PARITY.setflags(write=False)
 A5_IN_S5.setflags(write=False)
+# Image arrays read as base-5 numbers increase in the all_s5 order.
+_PLACES = 5 ** np.arange(4, -1, -1)
+_S5_CODES = S5_IMAGES @ _PLACES
+
+
+def s5_index(images) -> np.ndarray:
+    """Row of ``S5_IMAGES`` that holds each image array (the last axis)."""
+    return np.searchsorted(_S5_CODES, np.asarray(images) @ _PLACES)
 
 
 def identity() -> Perm5:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEDUP_TOL, cluster_values
-from .errors import DegenerateInstanceError, NumericFailureError, VerificationFailureError
-from .ffamily import FFamily, family_values_for_perms
-from .permutations import A5_IN_S5, all_s5
+from .clustering import DEDUP_TOL, class_values, first_occurrence
+from .errors import DegenerateInstanceError, VerificationFailureError
+from .ffamily import FFamily, family_sweep
+from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY
 from .polynomials import as_root_tuple, is_degenerate, poly_from_roots, power_sums
 
 __all__ = [
@@ -110,25 +110,25 @@ def _phi_rows(fam_rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _five_values(a5_phis: np.ndarray, tol: float) -> tuple[complex, ...]:
-    clusters = cluster_values(a5_phis, tol)
-    if clusters.count != 5:
-        raise NumericFailureError(
-            f"expected 5 product values under even relabelings, found {clusters.count}"
-        )
-    return clusters.centers
+# Phi is fixed by the even relabelings that keep the root at position 0, so its
+# value at a sweep row depends only on that root and the row's parity: 5
+# classes on the even rows and 10 on all rows.
+_PHI_CLASS_A5 = first_occurrence(S5_IMAGES[A5_IN_S5, 0].tolist())
+_PHI_CLASS_S5 = first_occurrence(zip(S5_IMAGES[:, 0].tolist(), S5_PARITY.tolist()))
 
 
 def phi_values_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> PhiFamily:
     """:func:`phi_values` of a non-degenerate instance, read from its sweep.
 
-    ``sweep`` is ``family_values_for_perms(roots, all_s5())``; its even rows
-    give the five values and all 120 rows the count.
+    ``sweep`` is ``family_sweep(roots)``; its even rows give the five values
+    and all 120 rows the count.  Which rows share a value is a constant table;
+    the class gates of :func:`~quinticlab.clustering.class_values` decide
+    whether the instance shows those 5 and 10 distinct values.
     """
     phis = _phi_rows(sweep)
     return PhiFamily(
-        values=_five_values(phis[A5_IN_S5], tol),
-        s5_value_count=cluster_values(phis, tol).count,
+        values=class_values(phis[A5_IN_S5], _PHI_CLASS_A5, tol).centers,
+        s5_value_count=class_values(phis, _PHI_CLASS_S5, tol).count,
     )
 
 
@@ -141,7 +141,7 @@ def phi_values(roots, tol: float = DEDUP_TOL) -> PhiFamily:
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("product values need distinct roots")
-    return phi_values_from_sweep(family_values_for_perms(rt, all_s5()), tol)
+    return phi_values_from_sweep(family_sweep(rt), tol)
 
 
 def _coeff_scales(values) -> list[float]:

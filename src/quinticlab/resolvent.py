@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError, NumericFailureError
-from .ffamily import FFamily, family_values_for_perms
-from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY, all_s5
+from .ffamily import FFamily, family_sweep
+from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY, s5_index
 from .polynomials import MonicPoly, as_root_tuple, is_degenerate
 
 __all__ = [
@@ -49,10 +49,7 @@ __all__ = [
 # sigma the row of tau o sigma, where tau is the first odd permutation.
 # tau o sigma has image sigma.image[tau.image].
 _ODD = np.flatnonzero(S5_PARITY == -1)
-_S5_INDEX = {tuple(image): k for k, image in enumerate(S5_IMAGES.tolist())}
-_TAU_PARTNER = np.array(
-    [_S5_INDEX[tuple(image)] for image in S5_IMAGES[:, S5_IMAGES[_ODD[0]]].tolist()]
-)
+_TAU_PARTNER = s5_index(S5_IMAGES[:, S5_IMAGES[_ODD[0]]])
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def _rel_dev(rows: np.ndarray, ref: np.ndarray) -> float:
 def two_valuedness_from_sweep(sweep: np.ndarray) -> TwoValuednessReport:
     """Two-valuedness of (a, b, c), read from a sweep over all relabelings.
 
-    ``sweep`` is ``family_values_for_perms(roots, all_s5())``, shape (120, 6):
+    ``sweep`` is ``family_sweep(roots)``, shape (120, 6):
     row p is the family of the tuple relabeled by ``all_s5()[p]``.
     """
     a, b, c, *_ = _fit_rows(_sextic_rows(sweep * sweep))
@@ -243,4 +240,4 @@ def two_valuedness_check(roots) -> TwoValuednessReport:
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("two-valuedness needs distinct roots")
-    return two_valuedness_from_sweep(family_values_for_perms(rt, all_s5()))
+    return two_valuedness_from_sweep(family_sweep(rt))

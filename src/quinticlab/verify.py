@@ -21,12 +21,11 @@ from .errors import QuinticLabError
 from .ffamily import (
     RANK_TOL,
     FFamily,
-    family_values_for_perms,
+    family_sweep,
     orbit_from_sweep,
     relation_rank,
 )
 from .instances import complex_to_pair, random_instance
-from .permutations import all_s5
 from .polynomials import is_degenerate
 from .principal import newton_bridge_gaps, phi_quintic, phi_values_from_sweep, power_sum_check
 from .resolvent import (
@@ -85,9 +84,10 @@ def verify_sweep(
 ) -> dict:
     """All per-instance checks on a non-degenerate root tuple; returns the record.
 
-    Every check reads ``sweep = family_values_for_perms(roots, all_s5())``:
-    the orbit and the family (row 0, the identity) as well as the
-    two-valuedness and product-value sweeps.
+    Every check reads ``sweep = family_sweep(roots)``: the orbit and the
+    family (row 0, the identity) as well as the two-valuedness and
+    product-value sweeps.  The orbit and product-value counts are 12 and 10
+    unless their gates raise, which fails the instance.
     """
     record = _empty_record(roots)
     failures = record["failures"]
@@ -97,8 +97,6 @@ def verify_sweep(
         record["orbit"]["count"] = len(orbit.values)
         record["orbit"]["pairing_ok"] = len(orbit.pair_map) == 6
         record["orbit"]["family_match_ok"] = len(orbit.family_match) == 12
-        if len(orbit.values) != 12:
-            failures.append("orbit: value count != 12")
     except QuinticLabError as exc:
         orbit = None
         failures.append(f"orbit: {exc}")
@@ -138,8 +136,6 @@ def verify_sweep(
     try:
         pf = phi_values_from_sweep(sweep, tol_dedup)
         record["principal"]["s5_value_count"] = pf.s5_value_count
-        if pf.s5_value_count != 10:
-            failures.append("principal: value count under all relabelings != 10")
         quintic = phi_quintic(pf)
         record["principal"]["c4_mag"] = quintic.suppressed.c4_mag
         record["principal"]["c2_mag"] = quintic.suppressed.c2_mag
@@ -169,7 +165,7 @@ def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, n
         record = _empty_record(roots)
         record["skipped_degenerate"] = True
         return record, None
-    sweep = family_values_for_perms(roots, all_s5())
+    sweep = family_sweep(roots)
     return verify_sweep(roots, sweep, tol_residual, tol_dedup), sweep
 
 

@@ -12,6 +12,10 @@ sweep as input.
 The helpers at the end (permutation algebra, polynomial evaluation, the
 resolvent form, and the invariance of the product values' quintic) are
 double-precision checks that only the tests use, built on package types.
+
+The clustering references count the orbit and product values by searching for
+the clusters with ``cluster_values``, as the package did before it read the
+classes off constant tables; the tests require both paths to agree.
 """
 
 import itertools
@@ -19,12 +23,20 @@ import itertools
 import mpmath as mp
 import numpy as np
 
-from quinticlab import DegenerateInstanceError, InvalidInputError, MonicPoly, Perm5
-from quinticlab.clustering import DEDUP_TOL
-from quinticlab.ffamily import family_values_for_perms
-from quinticlab.permutations import all_a5, all_s5, apply
+from quinticlab import (
+    DegenerateInstanceError,
+    InvalidInputError,
+    MonicPoly,
+    NumericFailureError,
+    Perm5,
+    phi_values,
+)
+from quinticlab.clustering import DEDUP_TOL, DEDUP_TOL_FLOOR, cluster_values
+from quinticlab.ffamily import FFamily, OrbitReport
+from quinticlab.kernels import eval_f_rows
+from quinticlab.permutations import A5_IN_S5, all_a5, all_s5, apply
 from quinticlab.polynomials import as_root_tuple, is_degenerate, poly_from_roots
-from quinticlab.principal import _coeff_scales, _five_values, _phi_rows
+from quinticlab.principal import PhiFamily, _coeff_scales, _phi_rows
 
 DPS = 50
 
@@ -234,7 +246,7 @@ def eval_resolvent_form(F: complex, a: complex, b: complex, c: complex) -> compl
 
 
 def _phi_a5_values(roots, tol: float) -> tuple[complex, ...]:
-    return _five_values(_phi_rows(family_values_for_perms(roots, all_a5())), tol)
+    return phi_values(roots, tol).values
 
 
 def phi_coeff_vector(roots, tol: float = DEDUP_TOL) -> tuple[complex, ...]:
@@ -267,3 +279,83 @@ def invariance_check(roots, tol: float = DEDUP_TOL) -> float:
         )
         worst = max(worst, dev)
     return worst
+
+
+FAMILY_PATTERNS = [[0, 1, 2, 3, 4]] + [[(k + d) % 5 for d in (0, 3, 4, 1, 2)] for k in range(5)]
+_SIGNED_LABELS = tuple(
+    sign + label for sign in "+-" for label in ("f", "f0", "f1", "f2", "f3", "f4")
+)
+
+
+def family_values_for_perms(roots, perms) -> np.ndarray:
+    """Family values of every relabeled tuple, shape (len(perms), 6).
+
+    Row p equals ``f_family(apply(perms[p], roots)).values()``: one kernel
+    row for each of the 6 family patterns of each relabeled tuple.
+    """
+    rt = as_root_tuple(roots)
+    rows = [[p.image[i] for i in pattern] for p in perms for pattern in FAMILY_PATTERNS]
+    return eval_f_rows(rt, np.array(rows, dtype=np.int64)).reshape(len(perms), 6)
+
+
+def family_labels(values, fam: FFamily, threshold: float) -> tuple[str, ...]:
+    """Signed family label (e.g. '+f', '-f3') of each of 12 orbit values.
+
+    Each value takes the label of its nearest signed family member.  Raises
+    :class:`NumericFailureError` when a value is farther than ``threshold``
+    from its nearest member, or when two values share one nearest member, so
+    that accepted labels are a bijection onto the 12 signed members.
+    """
+    vals = np.asarray(values, dtype=complex)
+    family = np.asarray(fam.values(), dtype=complex)
+    targets = np.concatenate([family, -family])
+    cost = np.abs(vals[:, None] - targets[None, :])
+    nearest = cost.argmin(axis=1)
+    if float(cost[np.arange(vals.size), nearest].max()) > threshold:
+        raise NumericFailureError(
+            "orbit values do not match the signed family within tolerance"
+        )
+    if len(set(nearest.tolist())) != targets.size:
+        raise NumericFailureError(
+            "orbit values and signed family members do not match one to one"
+        )
+    return tuple(_SIGNED_LABELS[k] for k in nearest)
+
+
+def clustering_orbit(sweep, tol: float = DEDUP_TOL) -> OrbitReport:
+    """The orbit report of a sweep, with its values found by clustering.
+
+    Clusters the 60 even-relabeling values of f, pairs each value with the
+    one nearest its negation, and labels each by its nearest signed member
+    of the family (sweep row 0).
+    """
+    fam = FFamily.from_row(sweep[0])
+    clusters = cluster_values(sweep[A5_IN_S5, 0], tol)
+    values = clusters.centers
+    if len(values) != 12:
+        raise NumericFailureError(f"expected 12 orbit values, found {len(values)}")
+    vals = np.asarray(values)
+    index = np.arange(12)
+    sums = np.abs(vals[:, None] + vals[None, :])
+    partner = sums.argmin(axis=1)
+    if np.any((sums[index, partner] > clusters.threshold) | (partner == index)):
+        raise NumericFailureError("an orbit value has no negation partner within tolerance")
+    if np.any(partner[partner] != index):
+        raise NumericFailureError("sign pairing is not an involution")
+    scale = max(1.0, float(np.abs(vals).max()))
+    return OrbitReport(
+        values=values,
+        pair_map=tuple((i, int(partner[i])) for i in range(12) if i < partner[i]),
+        family_match=family_labels(values, fam, max(tol, DEDUP_TOL_FLOOR) * scale),
+        degenerate=False,
+        family=fam,
+    )
+
+
+def clustering_phi_values(sweep, tol: float = DEDUP_TOL) -> PhiFamily:
+    """The product values of a sweep, with their counts found by clustering."""
+    phis = _phi_rows(sweep)
+    five = cluster_values(phis[A5_IN_S5], tol)
+    if five.count != 5:
+        raise NumericFailureError(f"expected 5 product values, found {five.count}")
+    return PhiFamily(values=five.centers, s5_value_count=cluster_values(phis, tol).count)

@@ -172,6 +172,17 @@ class TestBrioschi:
         assert main(["brioschi", "--roots", str(path)]) == 3
 
 
+@pytest.mark.parametrize("scale", [0.06, 0.03])
+def test_flagged_tuple_exits_3_in_every_subcommand(scale, tmp_path):
+    # is_degenerate flags random_instance(1, 3) at these scales.  orbit must
+    # report that before any value counting, whose gates would exit 4.
+    path = tmp_path / "roots.json"
+    roots = [scale * z for z in random_instance(1, 3)]
+    path.write_text(json.dumps({"roots": [complex_to_pair(z) for z in roots]}), encoding="utf-8")
+    codes = [main([command, "--roots", str(path)]) for command in ("resolve", "orbit", "brioschi")]
+    assert codes == [3, 3, 3]
+
+
 class TestVerify:
     def test_small_batch_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -16,7 +16,7 @@ from quinticlab import (
     power_sum_check,
 )
 from quinticlab.clustering import cluster_values
-from quinticlab.ffamily import FFamily, family_values_for_perms
+from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.principal import PhiFamily
 
 from oracles import invariance_check, phi_coeff_vector, phi_oracle
@@ -41,7 +41,7 @@ class TestPhi:
         # Control pinning the documented sign normalization: with the family's
         # natural signs, using (f2 - f3) in the third factor explodes the
         # value count instead of collapsing to 10.
-        rows = family_values_for_perms(seeded_roots, all_s5())
+        rows = family_sweep(seeded_roots)
         literal = (rows[:, 0] - rows[:, 1]) * (rows[:, 2] - rows[:, 5]) * (
             rows[:, 3] - rows[:, 4]
         )

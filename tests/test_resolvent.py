@@ -16,7 +16,7 @@ from quinticlab import (
     sextic_from_family,
     two_valuedness_check,
 )
-from quinticlab.ffamily import FFamily, family_values_for_perms
+from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.instances import random_instance
 from quinticlab.permutations import S5_PARITY, all_s5
 from quinticlab.resolvent import _TAU_PARTNER, square_gap, two_valuedness_from_sweep
@@ -181,7 +181,7 @@ class TestArrayCore:
 
     @pytest.mark.parametrize("index", range(50))
     def test_matches_loop_reference(self, index):
-        sweep = family_values_for_perms(random_instance(2024, index), all_s5())
+        sweep = family_sweep(random_instance(2024, index))
         got = two_valuedness_from_sweep(sweep)
         want = two_valuedness_reference(sweep)
         for name in ("even_triple", "odd_triple"):

@@ -1,8 +1,8 @@
 import pytest
 
-from quinticlab.ffamily import family_values_for_perms
+from quinticlab.ffamily import family_sweep
 from quinticlab.instances import random_instance
-from quinticlab.permutations import S5_PARITY, all_s5
+from quinticlab.permutations import S5_PARITY
 from quinticlab.verify import SPREAD_TOL, run_verify, verify_instance, verify_sweep
 
 
@@ -61,7 +61,7 @@ def test_perturbed_odd_row_fails_two_valuedness():
     # by (1 + 1e-6) must break the odd-coset agreement; the sweep as computed
     # must pass.
     roots = random_instance(17, 2)
-    sweep = family_values_for_perms(roots, all_s5())
+    sweep = family_sweep(roots)
     assert verify_sweep(roots, sweep)["passed"] is True
 
     perturbed = sweep.copy()
