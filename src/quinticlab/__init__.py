@@ -27,12 +27,10 @@ from .ffamily import (
     OrbitReport,
     RelationReport,
     a5_orbit,
-    eval_f,
     f_family,
     relation_rank,
 )
 from .instances import InstanceSpec, load_instance_file, random_instance
-from .permutations import Perm5, all_a5, all_s5, apply, identity
 from .polynomials import (
     MonicPoly,
     find_roots,
@@ -46,7 +44,6 @@ from .principal import (
     PowerSumCheck,
     PrincipalQuintic,
     newton_bridge_gaps,
-    phi,
     phi_quintic,
     phi_values,
     power_sum_check,
@@ -77,17 +74,10 @@ __all__ = [
     "power_sums",
     "sqrt_discriminant",
     "is_degenerate",
-    # permutations
-    "Perm5",
-    "identity",
-    "all_s5",
-    "all_a5",
-    "apply",
     # family and orbit
     "FFamily",
     "OrbitReport",
     "RelationReport",
-    "eval_f",
     "f_family",
     "a5_orbit",
     "relation_rank",
@@ -104,7 +94,6 @@ __all__ = [
     "PhiFamily",
     "PrincipalQuintic",
     "PowerSumCheck",
-    "phi",
     "phi_values",
     "phi_quintic",
     "power_sum_check",

@@ -179,7 +179,7 @@ def _cmd_verify(args) -> dict:
         raise InvalidInputError("--n must be >= 1")
     if args.seed is None:
         raise InvalidInputError("verify needs --seed")
-    report = run_verify(args.seed, args.n, tol_residual=args.tol)
+    report = run_verify(args.seed, args.n, tol_residual=args.tol, tol_dedup=args.dedup_tol)
     report["ok"] = report["summary"]["ok"]
     report["command"] = "verify"
     return report

@@ -1,7 +1,8 @@
 """The sine-weighted root function f, its labeled six-member family, orbit
 analysis under even relabelings, and the rank of the family's linear relations.
 
-``f`` is a degree-5 form in an ordered tuple of five roots.  Relabeling the
+``f`` is a degree-5 form in an ordered tuple of five roots, the 20-term sum
+that :func:`~quinticlab.kernels.eval_f_rows` evaluates.  Relabeling the
 roots by the 60 even permutations produces exactly 12 distinct values for
 generic input; they close under negation into 6 sign pairs and coincide with
 the labeled family ``(+-f, +-f_0, ..., +-f_4)``.  Stacked family rows from
@@ -9,13 +10,17 @@ independent instances span a 3-dimensional subspace: the six values
 satisfy three linear relations with golden-ratio coefficients, known in
 closed form, which :func:`relation_rank` confirms by a numerical rank test.
 
-Which relabelings give equal or opposite values is a fact about the group, so
-the orbit's classes, sign pairs and labels are constant tables derived here
-from the permutation images; per instance only the gates are measured.
+Relabelings are the 120 permutations of the labels 0..4, held only as index
+tables: row p of ``S5_IMAGES`` relabels a tuple ``rt`` to
+``(rt[S5_IMAGES[p, 0]], ..., rt[S5_IMAGES[p, 4]])`` ("pull" convention).  Which
+relabelings give equal or opposite values is a fact about the group, so the
+orbit's classes, sign pairs and labels are constant tables derived here from
+those images; per instance only the gates are measured.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,20 +29,22 @@ import numpy as np
 from .clustering import DEDUP_TOL, class_values, first_occurrence
 from .errors import InvalidInputError, NumericFailureError
 from .kernels import eval_f_rows
-from .permutations import A5_IN_S5, S5_IMAGES, s5_index
 from .polynomials import as_root_tuple, is_degenerate
 
 __all__ = [
     "FFamily",
     "OrbitReport",
     "RelationReport",
-    "eval_f",
     "f_family",
     "family_sweep",
     "a5_orbit",
     "orbit_from_sweep",
     "relation_rank",
     "RANK_TOL",
+    "S5_IMAGES",
+    "S5_PARITY",
+    "A5_IN_S5",
+    "s5_index",
 ]
 
 RANK_TOL = 1e-6
@@ -50,6 +57,23 @@ FAMILY_PATTERNS = np.array(
 )
 
 _LABELS = ("f", "f0", "f1", "f2", "f3", "f4")
+
+# The permutations of 0..4 as image arrays, lexicographic (identity first),
+# each row's parity by inversion count, and the even rows.
+S5_IMAGES = np.array(list(itertools.permutations(range(5))), dtype=np.int64)
+_INVERSIONS = sum(S5_IMAGES[:, i] > S5_IMAGES[:, j] for i in range(5) for j in range(i + 1, 5))
+S5_PARITY = 1 - 2 * (_INVERSIONS % 2)
+A5_IN_S5 = np.flatnonzero(S5_PARITY == 1)
+for _table in (S5_IMAGES, S5_PARITY, A5_IN_S5):
+    _table.setflags(write=False)
+# Image arrays read as base-5 numbers increase in S5_IMAGES order.
+_PLACES = 5 ** np.arange(4, -1, -1)
+_S5_CODES = S5_IMAGES @ _PLACES
+
+
+def s5_index(images) -> np.ndarray:
+    """Row of ``S5_IMAGES`` that holds each image array (the last axis)."""
+    return np.searchsorted(_S5_CODES, np.asarray(images) @ _PLACES)
 
 
 # f is unchanged when the tuple's positions are rotated (it sums over m) and
@@ -120,15 +144,13 @@ class OrbitReport:
 class RelationReport:
     """Numerical rank analysis of stacked (f, f_0..f_4) sample rows.
 
-    ``null_basis`` is set only at rank 3; :func:`relation_rank` gives its
-    closed form.  ``integer_relations`` is always None: the relations'
-    coefficients are 1 and the irrational golden ratio, so no small-integer
-    relation exists.  The field stays so the report keeps its shape.
+    ``integer_relations`` is always None: the relations' coefficients are 1
+    and the irrational golden ratio, so no small-integer relation exists.
+    The field stays so the report keeps its shape.
     """
 
     rank: int
     singular_values: tuple[float, ...]
-    null_basis: tuple[tuple[complex, ...], ...] | None
     integer_relations: tuple[tuple[int, ...], ...] | None
 
     @property
@@ -136,18 +158,6 @@ class RelationReport:
         """sigma_4 / sigma_1, or 0 when sigma_1 is 0."""
         top = self.singular_values[0]
         return self.singular_values[3] / top if top > 0.0 else 0.0
-
-
-def eval_f(roots: Sequence[complex]) -> complex:
-    """The 20-term sine-weighted form on an ordered 5-tuple of roots.
-
-    sum over m in 0..4, n in 1..4 of
-        sin(2*pi*n/5) * x_m * x_{m+n}^2 * x_{m+2n}^2   (indices mod 5)
-
-    Homogeneous of total degree 5 in the roots.
-    """
-    rt = as_root_tuple(roots)
-    return complex(eval_f_rows(rt, FAMILY_PATTERNS[:1])[0])
 
 
 def f_family(roots: Sequence[complex]) -> FFamily:
@@ -159,9 +169,10 @@ def f_family(roots: Sequence[complex]) -> FFamily:
 def family_sweep(roots) -> np.ndarray:
     """Family values of the tuple under every relabeling, shape (120, 6).
 
-    Row p equals ``f_family(apply(all_s5()[p], roots)).values()``.  The 720
-    entries are f at the 120 rows of one kernel call, gathered; kernel rows
-    do not depend on the batch, so they equal a 720-row call bitwise.
+    Row p is the family of the tuple relabeled by row p of ``S5_IMAGES``.
+    The 720 entries are f at the 120 rows of one kernel call, gathered;
+    kernel rows do not depend on the batch, so they equal a 720-row call
+    bitwise.
     """
     return eval_f_rows(as_root_tuple(roots), S5_IMAGES)[_SWEEP_ROWS]
 
@@ -210,59 +221,26 @@ def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:
     return _orbit_report(sweep[A5_IN_S5, 0], sweep[0], tol)
 
 
-def _rref(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    m = mat.copy()
-    nrows, ncols = m.shape
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot = row + int(np.argmax(np.abs(m[row:, col])))
-        if abs(m[pivot, col]) <= tol:
-            continue
-        m[[row, pivot]] = m[[pivot, row]]
-        m[row] = m[row] / m[row, col]
-        for r in range(nrows):
-            if r != row:
-                m[r] = m[r] - m[r, col] * m[row]
-        row += 1
-    return m
-
-
 def relation_rank(samples: Sequence[FFamily], rank_tol: float = RANK_TOL) -> RelationReport:
     """Numerical rank of the N x 6 matrix of (f, f_0..f_4) sample rows.
 
     Needs at least 10 samples.  Rank counts singular values above
-    ``rank_tol * sigma_1``.  One thin SVD gives both the singular values and
-    the 6 x 6 ``vh``, so memory stays linear in N.  When the rank is 3,
-    ``null_basis`` is the reduced row echelon form of the null space, with
-    pivots on f, f_0 and f_1.  For exact family rows it is, with
-    phi = (1 + sqrt 5) / 2,
+    ``rank_tol * sigma_1``; one thin SVD gives them in memory linear in N.
+    For exact family rows the rank is 3: with phi = (1 + sqrt 5) / 2 the rows
+    satisfy
 
         f  + phi f_2 -     f_3 + phi f_4 = 0
         f_0 -    f_2 + phi f_3 - phi f_4 = 0
         f_1 - phi f_2 + phi f_3 -     f_4 = 0
-
-    The basis is reported as computed, with no rounding to integers: its
-    coefficients involve the irrational phi.
     """
     if len(samples) < 10:
         raise InvalidInputError(f"need at least 10 samples, got {len(samples)}")
     matrix = np.array([s.values() for s in samples], dtype=complex)
-    _, singular, vh = np.linalg.svd(matrix, full_matrices=False)
+    _, singular, _ = np.linalg.svd(matrix, full_matrices=False)
     top = float(singular[0])
     rank = int(np.sum(singular > rank_tol * top)) if top > 0.0 else 0
-
-    null_basis = None
-    if rank == 3:
-        basis = np.conj(vh[3:])  # rows span the null space of the sample matrix
-        null_basis = tuple(
-            tuple(complex(x) for x in row) for row in _rref(basis)
-        )
-
     return RelationReport(
         rank=rank,
         singular_values=tuple(float(s) for s in singular),
-        null_basis=null_basis,
         integer_relations=None,
     )

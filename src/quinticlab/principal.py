@@ -26,8 +26,7 @@ import numpy as np
 
 from .clustering import DEDUP_TOL, class_values, first_occurrence
 from .errors import DegenerateInstanceError, VerificationFailureError
-from .ffamily import FFamily, family_sweep
-from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY
+from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, family_sweep
 from .polynomials import as_root_tuple, is_degenerate, poly_from_roots, power_sums
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "PrincipalQuintic",
     "SuppressedCoeffs",
     "PowerSumCheck",
-    "phi",
     "phi_values",
     "phi_values_from_sweep",
     "phi_quintic",
@@ -96,13 +94,8 @@ class PowerSumCheck:
     p2_magnitude: float
 
 
-def phi(fam: FFamily) -> complex:
-    """(f - f_0)(f_1 - f_4)(f_2 + f_3) for one family."""
-    f, f0, f1, f2, f3, f4 = fam.values()
-    return (f - f0) * (f1 - f4) * (f2 + f3)
-
-
 def _phi_rows(fam_rows: np.ndarray) -> np.ndarray:
+    """(f - f_0)(f_1 - f_4)(f_2 + f_3) of each family row (f, f_0, ..., f_4)."""
     return (
         (fam_rows[:, 0] - fam_rows[:, 1])
         * (fam_rows[:, 2] - fam_rows[:, 5])

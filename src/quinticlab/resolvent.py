@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError, NumericFailureError
-from .ffamily import FFamily, family_sweep
-from .permutations import A5_IN_S5, S5_IMAGES, S5_PARITY, s5_index
+from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, FFamily, family_sweep, s5_index
 from .polynomials import MonicPoly, as_root_tuple, is_degenerate
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
     "two_valuedness_from_sweep",
 ]
 
-# Rows of a sweep in all_s5 order: the odd permutations, and for each row
+# Rows of a sweep in S5_IMAGES order: the odd permutations, and for each row
 # sigma the row of tau o sigma, where tau is the first odd permutation.
 # tau o sigma has image sigma.image[tau.image].
 _ODD = np.flatnonzero(S5_PARITY == -1)
@@ -80,7 +79,9 @@ class TwoValuednessReport:
     relabelings must reproduce it (spread = max relative deviation), all odd
     ones must agree on ``odd_triple``.  ``pair_symmetric_spread`` checks that
     the symmetric combinations (a + a', a*a', ...) of the unordered triple
-    pair are invariant under every relabeling of either parity.
+    pair are invariant under every relabeling of either parity.  ``fit`` is
+    the identity labeling's fit with its residuals, equal to
+    ``fit_abc(sextic_from_family(...))`` of that family.
     """
 
     even_triple: tuple[complex, complex, complex]
@@ -88,6 +89,7 @@ class TwoValuednessReport:
     even_spread: float
     odd_spread: float
     pair_symmetric_spread: float
+    fit: ResolventCoeffs
 
 
 def _sextic_rows(squares: np.ndarray) -> np.ndarray:
@@ -117,6 +119,17 @@ def _fit_rows(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     r2 = np.abs(s2 - 55.0 * a**4 - 30.0 * a * b) / np.maximum(1.0, np.abs(s2))
     r0 = np.abs(s0 - 5.0 * a**6 - 10.0 * a**3 * b - 5.0 * b**2) / np.maximum(1.0, np.abs(s0))
     return a, b, c, r4, r2, r0
+
+
+def _coeffs_at(rows: tuple[np.ndarray, ...], i: int) -> ResolventCoeffs:
+    """Row ``i`` of the :func:`_fit_rows` arrays."""
+    a, b, c, r4, r2, r0 = (v[i] for v in rows)
+    return ResolventCoeffs(
+        a=complex(a),
+        b=complex(b),
+        c=complex(c),
+        residuals=FitResiduals(r4=float(r4), r2=float(r2), r0=float(r0)),
+    )
 
 
 def sextic_from_family(fam: FFamily) -> MonicPoly:
@@ -151,15 +164,7 @@ def fit_abc(sextic: MonicPoly) -> ResolventCoeffs:
     """
     if sextic.degree != 6:
         raise InvalidInputError(f"expected a sextic, got degree {sextic.degree}")
-    a, b, c, r4, r2, r0 = (
-        v[0] for v in _fit_rows(np.asarray(sextic.coeffs, dtype=complex)[None, :])
-    )
-    return ResolventCoeffs(
-        a=complex(a),
-        b=complex(b),
-        c=complex(c),
-        residuals=FitResiduals(r4=float(r4), r2=float(r2), r0=float(r0)),
-    )
+    return _coeffs_at(_fit_rows(np.asarray(sextic.coeffs, dtype=complex)[None, :]), 0)
 
 
 def resolvent_form_residual(F: complex, a: complex, b: complex, c: complex) -> float:
@@ -212,13 +217,13 @@ def two_valuedness_from_sweep(sweep: np.ndarray) -> TwoValuednessReport:
     """Two-valuedness of (a, b, c), read from a sweep over all relabelings.
 
     ``sweep`` is ``family_sweep(roots)``, shape (120, 6):
-    row p is the family of the tuple relabeled by ``all_s5()[p]``.
+    row p is the family of the tuple relabeled by row p of ``S5_IMAGES``.
     """
-    a, b, c, *_ = _fit_rows(_sextic_rows(sweep * sweep))
-    triples = np.stack([a, b, c], axis=1)
+    rows = _fit_rows(_sextic_rows(sweep * sweep))
+    triples = np.stack(rows[:3], axis=1)
     if not np.isfinite(triples).all():
         raise NumericFailureError("fitted (a, b, c) are not finite")
-    even_ref = triples[0]  # identity labels come first in all_s5 order
+    even_ref = triples[0]  # the identity comes first in S5_IMAGES order
     odd_ref = triples[_ODD[0]]
 
     # Symmetric functions of the unordered pair {triple(sigma), triple(tau o sigma)}
@@ -232,6 +237,7 @@ def two_valuedness_from_sweep(sweep: np.ndarray) -> TwoValuednessReport:
         even_spread=_rel_dev(triples[A5_IN_S5], even_ref),
         odd_spread=_rel_dev(triples[_ODD], odd_ref),
         pair_symmetric_spread=_rel_dev(sym, sym[0]),
+        fit=_coeffs_at(rows, 0),
     )
 
 

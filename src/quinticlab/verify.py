@@ -28,13 +28,7 @@ from .ffamily import (
 from .instances import complex_to_pair, random_instance
 from .polynomials import is_degenerate
 from .principal import newton_bridge_gaps, phi_quintic, phi_values_from_sweep, power_sum_check
-from .resolvent import (
-    fit_abc,
-    resolvent_form_residual,
-    sextic_from_family,
-    square_gap,
-    two_valuedness_from_sweep,
-)
+from .resolvent import resolvent_form_residual, square_gap, two_valuedness_from_sweep
 
 __all__ = ["run_verify", "verify_instance", "verify_sweep", "RESIDUAL_TOL", "SPREAD_TOL"]
 
@@ -80,14 +74,16 @@ def _empty_record(roots) -> dict:
 
 
 def verify_sweep(
-    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL
+    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL,
+    fam: FFamily | None = None,
 ) -> dict:
     """All per-instance checks on a non-degenerate root tuple; returns the record.
 
-    Every check reads ``sweep = family_sweep(roots)``: the orbit and the
-    family (row 0, the identity) as well as the two-valuedness and
-    product-value sweeps.  The orbit and product-value counts are 12 and 10
-    unless their gates raise, which fails the instance.
+    Every check reads ``sweep = family_sweep(roots)``: the orbit, the family
+    ``fam`` (row 0, the identity; built here when not given) and one fit of
+    all 120 relabelings, whose identity row is the instance's fit.  The orbit
+    and product-value counts are 12 and 10 unless their gates raise, which
+    fails the instance.
     """
     record = _empty_record(roots)
     failures = record["failures"]
@@ -101,10 +97,17 @@ def verify_sweep(
         orbit = None
         failures.append(f"orbit: {exc}")
 
-    fam = FFamily.from_row(sweep[0])
+    # The fit is row 0 of two-valuedness's 120-row fit, so a failure of that
+    # fit fails both checks.
     try:
-        fit = fit_abc(sextic_from_family(fam))
-        gap = square_gap(fam)
+        tv = two_valuedness_from_sweep(sweep)
+    except QuinticLabError as exc:
+        tv = None
+        failures += [f"fit: {exc}", f"two-valuedness: {exc}"]
+
+    if tv is not None:
+        fit = tv.fit
+        gap = square_gap(FFamily.from_row(sweep[0]) if fam is None else fam)
         record["fit"]["r4"] = fit.residuals.r4
         record["fit"]["r2"] = fit.residuals.r2
         record["fit"]["r0"] = fit.residuals.r0
@@ -120,18 +123,11 @@ def verify_sweep(
             record["fit"]["form_residual_max"] = form_resid
             if form_resid > tol_residual:
                 failures.append("fit: orbit values do not satisfy the form")
-    except QuinticLabError as exc:
-        failures.append(f"fit: {exc}")
-
-    try:
-        tv = two_valuedness_from_sweep(sweep)
         record["two_valuedness"]["even_spread"] = tv.even_spread
         record["two_valuedness"]["odd_spread"] = tv.odd_spread
         record["two_valuedness"]["pair_symmetric_spread"] = tv.pair_symmetric_spread
         if max(tv.even_spread, tv.odd_spread, tv.pair_symmetric_spread) > SPREAD_TOL:
             failures.append("two-valuedness: spreads above tolerance")
-    except QuinticLabError as exc:
-        failures.append(f"two-valuedness: {exc}")
 
     try:
         pf = phi_values_from_sweep(sweep, tol_dedup)
@@ -159,14 +155,15 @@ def verify_sweep(
     return record
 
 
-def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, np.ndarray | None]:
-    """The record of one root tuple, and its sweep (None when skipped)."""
+def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, FFamily | None]:
+    """The record of one root tuple, and its family (None when skipped)."""
     if is_degenerate(roots):
         record = _empty_record(roots)
         record["skipped_degenerate"] = True
         return record, None
     sweep = family_sweep(roots)
-    return verify_sweep(roots, sweep, tol_residual, tol_dedup), sweep
+    fam = FFamily.from_row(sweep[0])
+    return verify_sweep(roots, sweep, tol_residual, tol_dedup, fam), fam
 
 
 def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
@@ -190,11 +187,11 @@ def run_verify(
     for index in range(n):
         roots = random_instance(seed, index)
         record = {"index": index}
-        checked, sweep = _verify_roots(roots, tol_residual, tol_dedup)
+        checked, fam = _verify_roots(roots, tol_residual, tol_dedup)
         record.update(checked)
         instances.append(record)
-        if sweep is not None:
-            families.append(FFamily.from_row(sweep[0]))
+        if fam is not None:
+            families.append(fam)
 
     rank_section = {
         "rank": None,

@@ -9,9 +9,13 @@ The loop references compute in double precision, one permutation at a time,
 what the package computes as array reductions; they take the package's family
 sweep as input.
 
-The helpers at the end (permutation algebra, polynomial evaluation, the
-resolvent form, and the invariance of the product values' quintic) are
-double-precision checks that only the tests use, built on package types.
+The helpers at the end (permutations as objects and their algebra, the form
+f and the product Phi of one tuple, the row-reduced null basis of the rank
+test, polynomial evaluation, the resolvent form, and the invariance of the
+product values' quintic) are double-precision checks that only the tests use,
+built on package types.  The permutation objects are the reference that the
+package's index tables (``ffamily.S5_IMAGES`` and the rest) are checked
+against.
 
 The clustering references count the orbit and product values by searching for
 the clusters with ``cluster_values``, as the package did before it read the
@@ -23,18 +27,19 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from dataclasses import dataclass
+from typing import Sequence
+
 from quinticlab import (
     DegenerateInstanceError,
     InvalidInputError,
     MonicPoly,
     NumericFailureError,
-    Perm5,
     phi_values,
 )
 from quinticlab.clustering import DEDUP_TOL, DEDUP_TOL_FLOOR, cluster_values
-from quinticlab.ffamily import FFamily, OrbitReport
+from quinticlab.ffamily import A5_IN_S5, RANK_TOL, FFamily, OrbitReport
 from quinticlab.kernels import eval_f_rows
-from quinticlab.permutations import A5_IN_S5, all_a5, all_s5, apply
 from quinticlab.polynomials import as_root_tuple, is_degenerate, poly_from_roots
 from quinticlab.principal import PhiFamily, _coeff_scales, _phi_rows
 
@@ -184,6 +189,94 @@ def two_valuedness_reference(sweep) -> dict:
             _rel_dev(sym_vector(i), sym_ref) for i in range(len(images))
         ),
     }
+
+
+@dataclass(frozen=True)
+class Perm5:
+    """A permutation of {0..4}; ``image[i]`` is where position i reads from."""
+
+    image: tuple[int, int, int, int, int]
+
+    def __post_init__(self):
+        image = tuple(int(i) for i in self.image)
+        if sorted(image) != [0, 1, 2, 3, 4]:
+            raise InvalidInputError(f"not a permutation of 0..4: {image}")
+        object.__setattr__(self, "image", image)
+
+    @property
+    def parity(self) -> int:
+        """+1 for even, -1 for odd, by inversion count."""
+        return _parity(self.image)
+
+
+_S5 = tuple(Perm5(img) for img in itertools.permutations(range(5)))
+
+
+def identity() -> Perm5:
+    return _S5[0]
+
+
+def all_s5() -> list[Perm5]:
+    """All 120 permutations, lexicographic by image array."""
+    return list(_S5)
+
+
+def all_a5() -> list[Perm5]:
+    """The 60 even permutations, in the all_s5 order."""
+    return [p for p in _S5 if p.parity == 1]
+
+
+def apply(p: Perm5, rt: Sequence):
+    """Relabel a 5-tuple ("pull"): position i of the result reads rt[p.image[i]]."""
+    if len(rt) != 5:
+        raise InvalidInputError("apply expects a 5-tuple")
+    return tuple(rt[p.image[i]] for i in range(5))
+
+
+def eval_f(roots) -> complex:
+    """f of one tuple, as a one-row kernel call."""
+    return complex(eval_f_rows(as_root_tuple(roots), np.arange(5)[None, :])[0])
+
+
+def phi(fam: FFamily) -> complex:
+    """(f - f_0)(f_1 - f_4)(f_2 + f_3) for one family."""
+    f, f0, f1, f2, f3, f4 = fam.values()
+    return (f - f0) * (f1 - f4) * (f2 + f3)
+
+
+def _rref(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    m = mat.copy()
+    nrows, ncols = m.shape
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        pivot = row + int(np.argmax(np.abs(m[row:, col])))
+        if abs(m[pivot, col]) <= tol:
+            continue
+        m[[row, pivot]] = m[[pivot, row]]
+        m[row] = m[row] / m[row, col]
+        for r in range(nrows):
+            if r != row:
+                m[r] = m[r] - m[r, col] * m[row]
+        row += 1
+    return m
+
+
+def null_basis(samples, rank_tol: float = RANK_TOL):
+    """Reduced row echelon form of the null space of stacked family rows.
+
+    None unless the rows have numerical rank 3, counted as
+    :func:`~quinticlab.relation_rank` counts it.  The null space is then
+    spanned by the conjugated last three rows of the thin SVD's ``vh``; the
+    pivots fall on f, f_0 and f_1.  For exact family rows it equals
+    :func:`golden_relations`.
+    """
+    matrix = np.array([s.values() for s in samples], dtype=complex)
+    _, singular, vh = np.linalg.svd(matrix, full_matrices=False)
+    if np.sum(singular > rank_tol * singular[0]) != 3:
+        return None
+    return tuple(tuple(complex(x) for x in row) for row in _rref(np.conj(vh[3:])))
 
 
 def cycle_lengths(p: Perm5) -> tuple[int, ...]:

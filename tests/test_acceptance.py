@@ -14,14 +14,10 @@ from scipy.optimize import linear_sum_assignment
 
 from quinticlab import (
     a5_orbit,
-    all_s5,
-    apply,
-    eval_f,
     f_family,
     find_roots,
     fit_abc,
     degree12_poly,
-    phi,
     phi_quintic,
     phi_values,
     power_sum_check,
@@ -34,7 +30,14 @@ from quinticlab import (
 )
 from quinticlab.instances import random_instance
 
-from oracles import elementary_symmetric, newton_elementary_from_power_sums
+from oracles import (
+    all_s5,
+    apply,
+    elementary_symmetric,
+    eval_f,
+    newton_elementary_from_power_sums,
+    phi,
+)
 
 SEED = 1
 N_INSTANCES = 200

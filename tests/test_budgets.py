@@ -16,7 +16,7 @@ import numpy as np
 
 import quinticlab
 from quinticlab import f_family, poly_from_roots, random_instance, relation_rank, run_verify
-from quinticlab import clustering, kernels, polynomials
+from quinticlab import clustering, kernels, polynomials, resolvent
 from quinticlab.cli import main
 from quinticlab.instances import complex_to_pair
 
@@ -59,6 +59,17 @@ def test_verify_work_per_instance(monkeypatch):
     assert rows == [120] * n
     assert len(expansions) == n
     assert clusterings == []
+
+
+def test_verify_fits_once_per_instance(monkeypatch):
+    # The instance's fit is row 0 (the identity) of the 120-row fit that
+    # two-valuedness makes, so verify never fits a single sextic.
+    fits = _tally_calls(monkeypatch, resolvent.fit_abc)
+
+    report = run_verify(1, 50)
+
+    assert report["summary"]["ok"]
+    assert fits == []
 
 
 def test_batch_orbit_work_per_instance(monkeypatch, capsys):

@@ -14,11 +14,18 @@ import pytest
 from quinticlab import NumericFailureError, a5_orbit, phi_values, random_instance
 from quinticlab import ffamily
 from quinticlab.clustering import class_values, cluster_values, first_occurrence
-from quinticlab.ffamily import _FAMILY_MATCH, _ORBIT_CLASS, _PAIR_MAP, family_sweep, orbit_from_sweep
-from quinticlab.permutations import A5_IN_S5, S5_PARITY, all_s5
+from quinticlab.ffamily import (
+    _FAMILY_MATCH,
+    _ORBIT_CLASS,
+    _PAIR_MAP,
+    A5_IN_S5,
+    S5_PARITY,
+    family_sweep,
+    orbit_from_sweep,
+)
 from quinticlab.principal import _PHI_CLASS_A5, _PHI_CLASS_S5, _phi_rows, phi_values_from_sweep
 
-from oracles import clustering_orbit, clustering_phi_values, family_values_for_perms
+from oracles import all_s5, clustering_orbit, clustering_phi_values, family_values_for_perms
 
 
 def _clustered_classes(values) -> np.ndarray:

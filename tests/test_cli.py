@@ -231,6 +231,17 @@ class TestVerify:
         bad = json.loads(out_bad.read_text(encoding="utf-8"))
         assert shape(ok["instances"][0]) == shape(bad["instances"][0])
 
+    def test_dedup_tolerance_reaches_the_counts(self, capsys):
+        # A counting threshold of 0.5 (relative) swallows the gaps between
+        # distinct orbit and product values, so every count is ambiguous.
+        code, report = run_json(capsys, "verify", "--seed", "3", "--n", "12", "--dedup-tol", "0.5")
+        assert code == 4
+        assert report["meta"]["tolerances"]["dedup"] == 0.5
+        assert report["summary"]["failed"] == list(range(12))
+        for record in report["instances"]:
+            assert record["failures"]
+            assert all("ambiguous count" in f for f in record["failures"])
+
     def test_determinism_modulo_wall_time(self, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

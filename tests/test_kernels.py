@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from quinticlab import eval_f, f_family, random_instance
-from quinticlab.ffamily import FAMILY_PATTERNS
+from quinticlab import f_family, random_instance
+from quinticlab.ffamily import FAMILY_PATTERNS, S5_IMAGES
 from quinticlab.kernels import eval_f_rows
-from quinticlab.permutations import S5_IMAGES
+
+from oracles import eval_f
 
 
 def _reference_rows(x, idx):

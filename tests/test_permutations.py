@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quinticlab import (
-    InvalidInputError,
-    Perm5,
-    all_a5,
-    all_s5,
-    apply,
-    identity,
-    sqrt_discriminant,
-)
+from quinticlab import InvalidInputError, sqrt_discriminant
+from quinticlab.ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, s5_index
 from quinticlab.instances import random_instance
 
-from oracles import compose, inverse, three_cycles
+from oracles import Perm5, all_a5, all_s5, apply, compose, identity, inverse, three_cycles
 
 perm_strategy = st.permutations(range(5)).map(lambda img: Perm5(tuple(img)))
 
@@ -44,6 +37,18 @@ def test_a5_is_even_subset():
     assert set(p.image for p in a5) == {
         p.image for p in all_s5() if p.parity == 1
     }
+
+
+def test_index_tables_match_the_permutations():
+    # The package holds S5 only as index tables; these objects are their
+    # reference.
+    perms = all_s5()
+    assert [tuple(row) for row in S5_IMAGES.tolist()] == [p.image for p in perms]
+    assert S5_PARITY.tolist() == [p.parity for p in perms]
+    assert s5_index([p.image for p in all_a5()]).tolist() == A5_IN_S5.tolist()
+    assert s5_index(S5_IMAGES).tolist() == list(range(120))
+    for table in (S5_IMAGES, S5_PARITY, A5_IN_S5):
+        assert not table.flags.writeable
 
 
 def test_three_cycles():

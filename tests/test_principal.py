@@ -5,12 +5,9 @@ from scipy.optimize import linear_sum_assignment
 from quinticlab import (
     DegenerateInstanceError,
     VerificationFailureError,
-    all_s5,
-    apply,
     f_family,
     find_roots,
     newton_bridge_gaps,
-    phi,
     phi_quintic,
     phi_values,
     power_sum_check,
@@ -19,7 +16,7 @@ from quinticlab.clustering import cluster_values
 from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.principal import PhiFamily
 
-from oracles import invariance_check, phi_coeff_vector, phi_oracle
+from oracles import all_s5, apply, invariance_check, phi, phi_coeff_vector, phi_oracle
 
 
 class TestPhi:

@@ -18,10 +18,10 @@ from quinticlab import (
 )
 from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.instances import random_instance
-from quinticlab.permutations import S5_PARITY, all_s5
+from quinticlab.ffamily import S5_PARITY
 from quinticlab.resolvent import _TAU_PARTNER, square_gap, two_valuedness_from_sweep
 
-from oracles import compose, eval_poly, eval_resolvent_form, two_valuedness_reference
+from oracles import all_s5, compose, eval_poly, eval_resolvent_form, two_valuedness_reference
 
 
 def _symbolic_sextic_coeffs():
@@ -189,6 +189,14 @@ class TestArrayCore:
                 assert abs(x - r) <= self.TRIPLE_REL * abs(r)
         for name in ("even_spread", "odd_spread", "pair_symmetric_spread"):
             assert abs(getattr(got, name) - want[name]) <= self.SPREAD_ABS
+
+    def test_identity_row_fit_is_the_single_fit(self):
+        # Row operations do not depend on the batch, so row 0 of the 120-row
+        # fit equals the fit of the identity family alone, bitwise.
+        for index in range(200):
+            roots = random_instance(7, index)
+            got = two_valuedness_from_sweep(family_sweep(roots)).fit
+            assert got == fit_abc(sextic_from_family(f_family(roots))), index
 
     def test_parity_and_partner_tables(self):
         perms = all_s5()

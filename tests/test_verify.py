@@ -1,8 +1,7 @@
 import pytest
 
-from quinticlab.ffamily import family_sweep
+from quinticlab.ffamily import S5_PARITY, family_sweep
 from quinticlab.instances import random_instance
-from quinticlab.permutations import S5_PARITY
 from quinticlab.verify import SPREAD_TOL, run_verify, verify_instance, verify_sweep
 
 
@@ -71,3 +70,20 @@ def test_perturbed_odd_row_fails_two_valuedness():
     assert record["two_valuedness"]["odd_spread"] > SPREAD_TOL
     assert record["passed"] is False
     assert "two-valuedness: spreads above tolerance" in record["failures"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sweep
+def test_failed_shared_fit_fails_fit_and_two_valuedness():
+    # The instance's fit is row 0 of the 120-row fit, so a non-finite triple
+    # on any row fails both checks, in the report's check order.
+    roots = random_instance(17, 2)
+    sweep = family_sweep(roots)
+    odd_row = int((S5_PARITY == -1).nonzero()[0][3])
+    sweep[odd_row] = float("inf")
+    record = verify_sweep(roots, sweep)
+    assert record["fit"]["r4"] is None
+    assert record["two_valuedness"]["odd_spread"] is None
+    assert record["failures"][:2] == [
+        "fit: fitted (a, b, c) are not finite",
+        "two-valuedness: fitted (a, b, c) are not finite",
+    ]
