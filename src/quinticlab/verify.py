@@ -74,16 +74,14 @@ def _empty_record(roots) -> dict:
 
 
 def verify_sweep(
-    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL,
-    fam: FFamily | None = None,
+    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL
 ) -> dict:
     """All per-instance checks on a non-degenerate root tuple; returns the record.
 
     Every check reads ``sweep = family_sweep(roots)``: the orbit, the family
-    ``fam`` (row 0, the identity; built here when not given) and one fit of
-    all 120 relabelings, whose identity row is the instance's fit.  The orbit
-    and product-value counts are 12 and 10 unless their gates raise, which
-    fails the instance.
+    (row 0, the identity) and one fit of all 120 relabelings, whose identity
+    row is the instance's fit.  The orbit and product-value counts are 12 and
+    10 unless their gates raise, which fails the instance.
     """
     record = _empty_record(roots)
     failures = record["failures"]
@@ -107,7 +105,7 @@ def verify_sweep(
 
     if tv is not None:
         fit = tv.fit
-        gap = square_gap(FFamily.from_row(sweep[0]) if fam is None else fam)
+        gap = square_gap(FFamily.from_row(sweep[0]))
         record["fit"]["r4"] = fit.residuals.r4
         record["fit"]["r2"] = fit.residuals.r2
         record["fit"]["r0"] = fit.residuals.r0
@@ -155,15 +153,14 @@ def verify_sweep(
     return record
 
 
-def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, FFamily | None]:
-    """The record of one root tuple, and its family (None when skipped)."""
+def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, np.ndarray | None]:
+    """The record of one root tuple, and its sweep (None when skipped)."""
     if is_degenerate(roots):
         record = _empty_record(roots)
         record["skipped_degenerate"] = True
         return record, None
     sweep = family_sweep(roots)
-    fam = FFamily.from_row(sweep[0])
-    return verify_sweep(roots, sweep, tol_residual, tol_dedup, fam), fam
+    return verify_sweep(roots, sweep, tol_residual, tol_dedup), sweep
 
 
 def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
@@ -187,11 +184,11 @@ def run_verify(
     for index in range(n):
         roots = random_instance(seed, index)
         record = {"index": index}
-        checked, fam = _verify_roots(roots, tol_residual, tol_dedup)
+        checked, sweep = _verify_roots(roots, tol_residual, tol_dedup)
         record.update(checked)
         instances.append(record)
-        if fam is not None:
-            families.append(fam)
+        if sweep is not None:
+            families.append(FFamily.from_row(sweep[0]))
 
     rank_section = {
         "rank": None,
