@@ -43,7 +43,6 @@ from .principal import (
     PhiFamily,
     PowerSumCheck,
     PrincipalQuintic,
-    newton_bridge_gaps,
     phi_quintic,
     phi_values,
     power_sum_check,
@@ -97,7 +96,6 @@ __all__ = [
     "phi_values",
     "phi_quintic",
     "power_sum_check",
-    "newton_bridge_gaps",
     # instances and verification
     "InstanceSpec",
     "load_instance_file",

@@ -22,12 +22,12 @@ from .errors import (
     NumericFailureError,
     VerificationFailureError,
 )
-from .ffamily import a5_orbit, f_family, relation_rank
-from .instances import InstanceSpec, complex_to_pair, load_instance_file, random_instance
+from .ffamily import FFamily, a5_orbit, a5_orbits, f_family, relation_rank
+from .instances import InstanceSpec, complex_to_pair, load_instance_file
 from .polynomials import is_degenerate
 from .principal import phi_quintic, phi_values, power_sum_check
 from .resolvent import degree12_poly, fit_abc, sextic_from_family, square_gap
-from .verify import RESIDUAL_TOL, run_verify
+from .verify import RESIDUAL_TOL, run_verify, sample_chunks
 
 __all__ = ["main", "entrypoint"]
 
@@ -67,7 +67,7 @@ def _cmd_resolve(args) -> dict:
     fam = f_family(roots)
     sextic = sextic_from_family(fam)
     fit = fit_abc(sextic)
-    gap = square_gap(fam)
+    gap = float(square_gap(fam.values()))
     p12 = degree12_poly(fit)
     worst = fit.residuals.worst()
     return {
@@ -98,21 +98,20 @@ def _cmd_orbit(args) -> dict:
         if args.n < 1:
             raise InvalidInputError("--n must be >= 1")
         counts, pair_ok, families = [], [], []
-        for index in range(args.n):
-            report = a5_orbit(random_instance(args.seed, index), args.dedup_tol)
-            counts.append(len(report.values))
-            pair_ok.append(len(report.pair_map) == 6)
-            families.append(report.family)
+        for _, chunk, degenerate in sample_chunks(args.seed, args.n):
+            family, _, errors = a5_orbits(chunk, degenerate, args.dedup_tol)
+            for error in filter(None, errors):
+                raise error
+            counts += [0 if skip else 12 for skip in degenerate]
+            pair_ok += [not skip for skip in degenerate]
+            families += map(FFamily.from_row, family)
         if len(families) >= 10:
             rel = relation_rank(families)
             singular, ratio, rank = list(rel.singular_values), rel.ratio_s4_s1, rel.rank
         else:
             singular, ratio, rank = None, None, None
-        ok = (
-            all(c == 12 for c in counts)
-            and all(pair_ok)
-            and (rank is None or (rank == 3 and ratio < args.tol))
-        )
+        # A count is 12 exactly where the pairing holds, so pair_ok covers both.
+        ok = all(pair_ok) and (rank is None or (rank == 3 and ratio < args.tol))
         return {
             "command": "orbit",
             "batch": {
@@ -297,6 +296,11 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (NumericFailureError, VerificationFailureError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except OverflowError as exc:
+        # Intermediate values past the double range (from root scales near
+        # 1e5) end as a numeric failure, not a traceback.
+        print(f"numeric failure: overflow: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     _emit(payload, args)
     return EXIT_OK if payload.get("ok", True) else EXIT_VERIFY_FAIL

@@ -12,7 +12,8 @@ Inputs are orbit sweeps of at most 120 values, so the clusters are found on
 the dense pairwise-distance matrix.
 
 Where the permutation action fixes which sweep rows are copies of one value,
-:func:`class_values` gates that class map by the same threshold and rule.
+:func:`class_gate` gates that class map by the 10x rule, at a threshold
+relative to the values themselves, for many rows of values at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NumericFailureError
 
-__all__ = ["ClusterResult", "cluster_values", "class_values", "first_occurrence",
+__all__ = ["ClusterResult", "cluster_values", "class_gate", "first_occurrence",
            "DEDUP_TOL", "DEDUP_TOL_FLOOR"]
 
 DEDUP_TOL = 1e-7
@@ -63,16 +64,12 @@ def _component_labels(adjacency: np.ndarray) -> np.ndarray:
         labels = nxt
 
 
-def _threshold(vals: np.ndarray, tol: float) -> float:
-    return max(float(tol), DEDUP_TOL_FLOOR) * max(1.0, float(np.max(np.abs(vals))))
-
-
 def cluster_values(values, tol: float = DEDUP_TOL) -> ClusterResult:
     """Cluster ``values`` with relative tolerance ``tol`` (floor 1e-10)."""
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 1 or vals.size == 0:
         raise NumericFailureError("clustering needs a nonempty 1-d value list")
-    threshold = _threshold(vals, tol)
+    threshold = max(float(tol), DEDUP_TOL_FLOOR) * max(1.0, float(np.max(np.abs(vals))))
 
     dist = np.abs(vals[:, None] - vals[None, :])
     labels = _component_labels(dist <= threshold)
@@ -113,27 +110,29 @@ def first_occurrence(keys) -> np.ndarray:
     return np.array([seen.setdefault(key, len(seen)) for key in keys])
 
 
-def class_values(values, classes, tol: float = DEDUP_TOL) -> ClusterResult:
-    """:func:`cluster_values` for values whose classes are known.
+def class_gate(values, classes, tol: float = DEDUP_TOL) -> tuple:
+    """Count gates for each row of values (N, m) whose classes are known.
 
-    ``classes`` numbers the class of each value as :func:`first_occurrence`
-    does.  The centers are the class means, summed in input order as
-    :func:`cluster_values` sums them, so the two agree bitwise.  Raises
-    :class:`NumericFailureError` unless every value lies within the threshold
-    of its class mean and the means lie at least 10x the threshold apart;
-    ``min_gap`` is their smallest distance.
+    ``classes`` numbers the class of each column as :func:`first_occurrence`
+    does; the class means are summed in input order, as :func:`cluster_values`
+    sums them, by one ``bincount`` over classes offset by row.  A row fails
+    unless each value lies within ``tol * max|v|`` of its class mean and the
+    means lie more than 10x that apart.  Returns the means (N, k), the
+    thresholds (N,), and per row None or its error.
     """
     vals = np.asarray(values, dtype=complex)
-    threshold = _threshold(vals, tol)
+    rows = vals.shape[0]
     counts = np.bincount(classes)
-    centers = (np.bincount(classes, vals.real) + 1j * np.bincount(classes, vals.imag)) / counts
-    spread = float(np.max(np.abs(vals - centers[classes])))
-    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(counts.size, np.inf))
-    min_gap = float(gaps.min())
-    if not (spread <= threshold and min_gap >= AMBIGUITY_FACTOR * threshold):  # NaN fails
-        raise NumericFailureError(
-            f"ambiguous count: copies of one value lie up to {spread:.3e} apart and "
-            f"distinct values {min_gap:.3e} apart, against the threshold {threshold:.3e}"
-        )
-    centers = tuple(complex(z) for z in centers)
-    return ClusterResult(centers, tuple(int(k) for k in counts), threshold, min_gap)
+    labels = (classes + counts.size * np.arange(rows)[:, None]).ravel()
+    sums = np.bincount(labels, vals.real.ravel()) + 1j * np.bincount(labels, vals.imag.ravel())
+    centers = sums.reshape(rows, counts.size) / counts
+    threshold = max(float(tol), DEDUP_TOL_FLOOR) * np.abs(vals).max(axis=1)
+    spread = np.abs(vals - centers[:, classes]).max(axis=1)
+    gaps = np.abs(centers[:, :, None] - centers[:, None]) + np.diag(np.full(counts.size, np.inf))
+    min_gap = gaps.min(axis=(1, 2))
+    ok = (spread <= threshold) & (min_gap > AMBIGUITY_FACTOR * threshold)  # NaN fails
+    errors = [None if good else NumericFailureError(
+        f"ambiguous count: copies of one value lie up to {spread[i]:.3e} apart and "
+        f"distinct values {min_gap[i]:.3e} apart, against the threshold {threshold[i]:.3e}"
+    ) for i, good in enumerate(ok)]
+    return centers, threshold, errors

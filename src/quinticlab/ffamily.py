@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import DEDUP_TOL, class_values, first_occurrence
+from .clustering import DEDUP_TOL, class_gate, first_occurrence
 from .errors import InvalidInputError, NumericFailureError
 from .kernels import eval_f_rows
 from .polynomials import as_root_tuple, is_degenerate
@@ -38,7 +38,8 @@ __all__ = [
     "f_family",
     "family_sweep",
     "a5_orbit",
-    "orbit_from_sweep",
+    "a5_orbits",
+    "orbit_check",
     "relation_rank",
     "RANK_TOL",
     "S5_IMAGES",
@@ -172,26 +173,41 @@ def family_sweep(roots) -> np.ndarray:
     Row p is the family of the tuple relabeled by row p of ``S5_IMAGES``.
     The 720 entries are f at the 120 rows of one kernel call, gathered;
     kernel rows do not depend on the batch, so they equal a 720-row call
-    bitwise.
+    bitwise.  An (N, 5) stack of tuples gives the (N, 120, 6) stack of their
+    sweeps from one kernel call, each bitwise the sweep of its tuple alone.
     """
-    return eval_f_rows(as_root_tuple(roots), S5_IMAGES)[_SWEEP_ROWS]
+    return eval_f_rows(roots, S5_IMAGES)[..., _SWEEP_ROWS]
 
 
-def _orbit_report(evals: np.ndarray, family: np.ndarray, tol: float) -> OrbitReport:
-    """The 12 orbit values of the 60 even-relabeling values of f.
+def orbit_check(evals: np.ndarray, family: np.ndarray, tol: float = DEDUP_TOL) -> tuple:
+    """The 12 orbit values of each row of 60 even-relabeling values of f, (N, 60).
 
     Classes, sign pairs and labels are the constant tables.  Gated are the
-    classes (:func:`~quinticlab.clustering.class_values`) and, at the same
-    threshold, each orbit value against its signed family member.
+    classes (:func:`~quinticlab.clustering.class_gate`) and, at the same
+    threshold, each orbit value against its signed member of ``family``
+    (N, 6).  Returns the values (N, 12) and per row None or its error.
     """
-    clusters = class_values(evals, _ORBIT_CLASS, tol)
-    targets = np.concatenate([family, -family])[_ORBIT_MEMBER]
-    if not np.abs(np.asarray(clusters.centers) - targets).max() <= clusters.threshold:
-        raise NumericFailureError(
-            "orbit values do not match the signed family within tolerance"
-        )
-    return OrbitReport(values=clusters.centers, pair_map=_PAIR_MAP, family_match=_FAMILY_MATCH,
-                       degenerate=False, family=FFamily.from_row(family))
+    centers, threshold, errors = class_gate(evals, _ORBIT_CLASS, tol)
+    targets = np.concatenate([family, -family], axis=1)[:, _ORBIT_MEMBER]
+    matched = np.abs(centers - targets).max(axis=1) <= threshold
+    message = "orbit values do not match the signed family within tolerance"
+    for i in np.flatnonzero(~matched):
+        errors[i] = errors[i] or NumericFailureError(message)
+    return centers, errors
+
+
+def a5_orbits(roots, degenerate, tol: float = DEDUP_TOL) -> tuple:
+    """:func:`a5_orbit` of each tuple of an (N, 5) stack, as arrays.
+
+    One kernel call of the 60 even rows gives every orbit and, the family
+    patterns being even, every family.  Returns the families (N, 6), the
+    orbit values (N, 12), and per tuple None or its error (None where its
+    ``is_degenerate`` verdict in ``degenerate`` is true: not checked).
+    """
+    evals = eval_f_rows(roots, S5_IMAGES[A5_IN_S5])
+    family = evals[:, _FAMILY_IN_A5]
+    centers, errors = orbit_check(evals, family, tol)
+    return family, centers, [None if d else e for d, e in zip(degenerate, errors)]
 
 
 def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
@@ -200,25 +216,17 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     Generic input yields exactly 12 values closing under negation into 6
     pairs, each matching one signed family member.  Near-degenerate input
     (by the |sqrt disc| floor) is reported with ``degenerate=True`` and no
-    values.  The family patterns are even rows, so one kernel call of the 60
-    even rows gives both the orbit and the family.
+    values.  This is :func:`a5_orbits` of one tuple.
     """
     rt = as_root_tuple(roots)
-    evals = eval_f_rows(rt, S5_IMAGES[A5_IN_S5])
-    family = evals[_FAMILY_IN_A5]
-    if is_degenerate(rt):
-        return OrbitReport(values=(), pair_map=(), family_match=(), degenerate=True,
-                           family=FFamily.from_row(family))
-    return _orbit_report(evals, family, tol)
-
-
-def orbit_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> OrbitReport:
-    """:func:`a5_orbit` of a non-degenerate instance, read from its sweep.
-
-    ``sweep`` is ``family_sweep(roots)``: column 0 at the even rows is the
-    orbit of f, and row 0 (the identity) is the family.
-    """
-    return _orbit_report(sweep[A5_IN_S5, 0], sweep[0], tol)
+    degenerate = is_degenerate(rt)
+    family, centers, (error,) = a5_orbits([rt], [degenerate], tol)
+    if error:
+        raise error
+    if degenerate:
+        return OrbitReport((), (), (), True, FFamily.from_row(family[0]))
+    values = tuple(complex(z) for z in centers[0])
+    return OrbitReport(values, _PAIR_MAP, _FAMILY_MATCH, False, FFamily.from_row(family[0]))
 
 
 def relation_rank(samples: Sequence[FFamily], rank_tol: float = RANK_TOL) -> RelationReport:

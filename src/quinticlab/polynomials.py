@@ -18,6 +18,7 @@ from .errors import InvalidInputError, NumericFailureError
 __all__ = [
     "MonicPoly",
     "as_root_tuple",
+    "expand_roots",
     "poly_from_roots",
     "find_roots",
     "power_sums",
@@ -82,17 +83,28 @@ def as_root_tuple(roots: Sequence[complex]) -> tuple[complex, ...]:
     return rt
 
 
+def expand_roots(roots) -> list:
+    """Coefficients z^(d-1)..z^0 of the monic prod_j (z - r_j), as a list.
+
+    ``roots`` yields r_1..r_d in turn.  Each step multiplies by one more
+    linear factor elementwise, so arrays of roots give arrays of coefficients.
+    """
+    coeffs = [1.0]
+    for root in roots:
+        coeffs.append(0.0)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] -= root * coeffs[k - 1]
+    return coeffs[1:]
+
+
 def poly_from_roots(roots: Sequence[complex]) -> MonicPoly:
-    """Expand prod(z - r_i) by iterated multiplication."""
+    """Expand prod(z - r_i): :func:`expand_roots` of one polynomial."""
     roots = [complex(r) for r in roots]
     if not roots:
         raise InvalidInputError("need at least one root")
     if len(roots) > MAX_DEGREE:
         raise InvalidInputError(f"more than {MAX_DEGREE} roots")
-    c = np.array([1.0 + 0j])
-    for r in roots:
-        c = np.convolve(c, np.array([1.0 + 0j, -r]))
-    return MonicPoly(tuple(c[1:]))
+    return MonicPoly(tuple(complex(c[0]) for c in expand_roots(np.array(roots)[:, None])))
 
 
 def find_roots(p: MonicPoly) -> list[complex]:
@@ -134,16 +146,16 @@ def find_roots(p: MonicPoly) -> list[complex]:
     return [complex(v) for v in z]
 
 
-def power_sums(values: Sequence[complex], k_max: int) -> list[complex]:
-    """p_1..p_k_max with p_k = sum(v_i ** k)."""
+def power_sums(values, k_max: int) -> list:
+    """p_1..p_k_max with p_k = sum(v_i ** k), summed along the last axis."""
     if k_max < 1:
         raise InvalidInputError("k_max must be >= 1")
-    vals = np.asarray([complex(v) for v in values], dtype=complex)
+    vals = np.asarray(values, dtype=complex)
     out = []
     acc = np.ones_like(vals)
     for _ in range(k_max):
         acc = acc * vals
-        out.append(complex(np.sum(acc)))
+        out.append(np.sum(acc, axis=-1))
     return out
 
 

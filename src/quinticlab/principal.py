@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEDUP_TOL, class_values, first_occurrence
-from .errors import DegenerateInstanceError, VerificationFailureError
+from .clustering import DEDUP_TOL, class_gate, first_occurrence
+from .errors import DegenerateInstanceError, InvalidInputError, VerificationFailureError
 from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, family_sweep
-from .polynomials import as_root_tuple, is_degenerate, poly_from_roots, power_sums
+from .polynomials import as_root_tuple, expand_roots, is_degenerate, power_sums
 
 __all__ = [
     "PhiFamily",
@@ -35,10 +35,12 @@ __all__ = [
     "SuppressedCoeffs",
     "PowerSumCheck",
     "phi_values",
-    "phi_values_from_sweep",
+    "product_values",
     "phi_quintic",
+    "quintic_rows",
     "power_sum_check",
-    "newton_bridge_gaps",
+    "power_sum_rows",
+    "newton_gap_rows",
     "SUPPRESSED_TOL",
 ]
 
@@ -97,9 +99,9 @@ class PowerSumCheck:
 def _phi_rows(fam_rows: np.ndarray) -> np.ndarray:
     """(f - f_0)(f_1 - f_4)(f_2 + f_3) of each family row (f, f_0, ..., f_4)."""
     return (
-        (fam_rows[:, 0] - fam_rows[:, 1])
-        * (fam_rows[:, 2] - fam_rows[:, 5])
-        * (fam_rows[:, 3] + fam_rows[:, 4])
+        (fam_rows[..., 0] - fam_rows[..., 1])
+        * (fam_rows[..., 2] - fam_rows[..., 5])
+        * (fam_rows[..., 3] + fam_rows[..., 4])
     )
 
 
@@ -110,36 +112,60 @@ _PHI_CLASS_A5 = first_occurrence(S5_IMAGES[A5_IN_S5, 0].tolist())
 _PHI_CLASS_S5 = first_occurrence(zip(S5_IMAGES[:, 0].tolist(), S5_PARITY.tolist()))
 
 
-def phi_values_from_sweep(sweep: np.ndarray, tol: float = DEDUP_TOL) -> PhiFamily:
-    """:func:`phi_values` of a non-degenerate instance, read from its sweep.
+def product_values(sweeps: np.ndarray, tol: float = DEDUP_TOL) -> tuple:
+    """The five product values of each sweep of an (N, 120, 6) stack.
 
-    ``sweep`` is ``family_sweep(roots)``; its even rows give the five values
-    and all 120 rows the count.  Which rows share a value is a constant table;
-    the class gates of :func:`~quinticlab.clustering.class_values` decide
-    whether the instance shows those 5 and 10 distinct values.
+    Which sweep rows share a value is a constant table; the class gates of
+    :func:`~quinticlab.clustering.class_gate` decide whether the instance shows
+    5 values on the even rows and 10 on all rows.  Returns the values (N, 5)
+    and per sweep None or the error of the first gate that rejects it.
     """
-    phis = _phi_rows(sweep)
-    return PhiFamily(
-        values=class_values(phis[A5_IN_S5], _PHI_CLASS_A5, tol).centers,
-        s5_value_count=class_values(phis, _PHI_CLASS_S5, tol).count,
-    )
+    phis = _phi_rows(sweeps)
+    five, _, errors = class_gate(phis[:, A5_IN_S5], _PHI_CLASS_A5, tol)
+    *_, ten = class_gate(phis, _PHI_CLASS_S5, tol)
+    return five, [e or f for e, f in zip(errors, ten)]
 
 
 def phi_values(roots, tol: float = DEDUP_TOL) -> PhiFamily:
     """The product over all even relabelings, deduplicated to its 5 values.
 
     Also counts the distinct values over all 120 relabelings (generically 10).
-    Raises :class:`DegenerateInstanceError` for (near-)repeated roots.
+    Raises :class:`DegenerateInstanceError` for (near-)repeated roots.  This
+    is :func:`product_values` of the tuple's sweep.
     """
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("product values need distinct roots")
-    return phi_values_from_sweep(family_sweep(rt), tol)
+    values, (error,) = product_values(family_sweep(rt)[None], tol)
+    if error:
+        raise error
+    return PhiFamily(values=tuple(complex(v) for v in values[0]), s5_value_count=10)
 
 
-def _coeff_scales(values) -> list[float]:
-    s = max(1.0, max(abs(v) for v in values))
-    return [max(1.0, s ** (k + 1)) for k in range(5)]
+def _coeff_scales(values: np.ndarray) -> np.ndarray:
+    """max(1, max|Phi|)^k for k = 1, 2, 3, one row per row of values."""
+    return np.maximum(1.0, np.abs(values).max(axis=-1))[..., None] ** np.arange(1, 4)
+
+
+def quintic_rows(values: np.ndarray) -> tuple:
+    """:func:`phi_quintic` of each row of five product values, shape (N, 5).
+
+    Returns the coefficients c4..c0 (N, 5), the relative magnitudes of c4 and
+    c2, and per row None or the error that rejects it.
+    """
+    coeffs = np.stack(expand_roots(values.T), axis=1)
+    scales = _coeff_scales(values)
+    c4_mag = np.abs(coeffs[:, 0]) / scales[:, 0]
+    c2_mag = np.abs(coeffs[:, 2]) / scales[:, 2]
+    errors = [None] * len(values)
+    for i in np.flatnonzero(~np.isfinite(coeffs).all(axis=1)):
+        errors[i] = InvalidInputError("polynomial coefficients must be finite")
+    for i in np.flatnonzero((c4_mag > SUPPRESSED_TOL) | (c2_mag > SUPPRESSED_TOL)):
+        errors[i] = errors[i] or VerificationFailureError(
+            f"z^4 and z^2 coefficients failed to vanish: "
+            f"|c4| = {c4_mag[i]:.3e}, |c2| = {c2_mag[i]:.3e} relative"
+        )
+    return coeffs, (c4_mag, c2_mag), errors
 
 
 def phi_quintic(pf: PhiFamily) -> PrincipalQuintic:
@@ -148,19 +174,21 @@ def phi_quintic(pf: PhiFamily) -> PrincipalQuintic:
     Records the relative magnitudes of the z^4 and z^2 coefficients and fails
     (raises :class:`VerificationFailureError`) when either exceeds
     ``SUPPRESSED_TOL``; otherwise returns p, q, r of z^5 + p z^3 + q z + r.
+    This is :func:`quintic_rows` of one row.
     """
-    quintic = poly_from_roots(pf.values)
-    c4, c3, c2, c1, c0 = quintic.coeffs
-    scales = _coeff_scales(pf.values)
-    c4_mag = abs(c4) / scales[0]
-    c2_mag = abs(c2) / scales[2]
-    suppressed = SuppressedCoeffs(c4_mag=c4_mag, c2_mag=c2_mag)
-    if c4_mag > SUPPRESSED_TOL or c2_mag > SUPPRESSED_TOL:
-        raise VerificationFailureError(
-            f"z^4 and z^2 coefficients failed to vanish: "
-            f"|c4| = {c4_mag:.3e}, |c2| = {c2_mag:.3e} relative"
-        )
+    coeffs, (c4_mag, c2_mag), (error,) = quintic_rows(np.array([pf.values], dtype=complex))
+    if error:
+        raise error
+    c4, c3, c2, c1, c0 = (complex(c) for c in coeffs[0])
+    suppressed = SuppressedCoeffs(c4_mag=float(c4_mag[0]), c2_mag=float(c2_mag[0]))
     return PrincipalQuintic(p=c3, q=c1, r=c0, suppressed=suppressed, c4=c4, c2=c2)
+
+
+def power_sum_rows(values: np.ndarray) -> tuple:
+    """(p1, p3, p2_magnitude) of :func:`power_sum_check` for each row of values."""
+    p1, p2, p3 = power_sums(values, 3)
+    s = _coeff_scales(values)
+    return np.abs(p1) / s[..., 0], np.abs(p3) / s[..., 2], np.abs(p2) / s[..., 1]
 
 
 def power_sum_check(pf: PhiFamily) -> PowerSumCheck:
@@ -169,28 +197,21 @@ def power_sum_check(pf: PhiFamily) -> PowerSumCheck:
     The first two vanish identically; the square sum is a control that is
     generically far from zero, confirming the test has teeth.
     """
-    p1, p2, p3 = power_sums(pf.values, 3)
-    s = max(1.0, max(abs(v) for v in pf.values))
-    return PowerSumCheck(
-        p1=abs(p1) / s,
-        p3=abs(p3) / s**3,
-        p2_magnitude=abs(p2) / s**2,
-    )
+    return PowerSumCheck(*(float(v) for v in power_sum_rows(np.asarray(pf.values, dtype=complex))))
 
 
-def newton_bridge_gaps(pf: PhiFamily, quintic: PrincipalQuintic) -> tuple[float, float]:
+def newton_gap_rows(values: np.ndarray, coeffs: np.ndarray) -> tuple:
     """Agreement between the coefficient route and the power-sum route.
 
-    ``quintic`` is ``phi_quintic(pf)``.  Its z^4 coefficient equals
-    -e1 = -p1, and (once e1 vanishes) its z^2 coefficient equals
-    -e3 = -p3/3.  Returns the two relative gaps between the
-    polynomial-expansion coefficients and the power-sum reconstructions.
+    ``coeffs`` are c4..c0 of :func:`quintic_rows` of ``values``.  c4 equals
+    -e1 = -p1 and, once e1 vanishes, c2 equals -e3 = -p3/3.  Returns the two
+    relative gaps to the power-sum reconstructions, one entry per row.
     """
-    p1, p2, p3 = power_sums(pf.values, 3)
+    p1, p2, p3 = power_sums(values, 3)
     e1 = p1
     e2 = (e1 * p1 - p2) / 2.0
     e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
-    scales = _coeff_scales(pf.values)
-    gap4 = abs(quintic.c4 - (-e1)) / scales[0]
-    gap2 = abs(quintic.c2 - (-e3)) / scales[2]
-    return (gap4, gap2)
+    scales = _coeff_scales(values)
+    gap4 = np.abs(coeffs[..., 0] - (-e1)) / scales[..., 0]
+    gap2 = np.abs(coeffs[..., 2] - (-e3)) / scales[..., 2]
+    return gap4, gap2

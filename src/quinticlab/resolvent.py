@@ -18,7 +18,7 @@ is triangular in (a, b, c): fitting uses s5, s3, s1 and the remaining three
 coefficients become genuine verification residuals.
 
 Sextic expansion and fit are array operations over rows, so one call covers a
-single family or all 120 relabelings of a sweep.
+single family or the 120 relabelings of every sweep in a stack.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError, NumericFailureError
 from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, FFamily, family_sweep, s5_index
-from .polynomials import MonicPoly, as_root_tuple, is_degenerate
+from .polynomials import MonicPoly, as_root_tuple, expand_roots, is_degenerate, poly_from_roots
 
 __all__ = [
     "FitResiduals",
@@ -41,7 +41,7 @@ __all__ = [
     "resolvent_form_residual",
     "degree12_poly",
     "two_valuedness_check",
-    "two_valuedness_from_sweep",
+    "two_valuedness_rows",
 ]
 
 # Rows of a sweep in S5_IMAGES order: the odd permutations, and for each row
@@ -49,6 +49,7 @@ __all__ = [
 # tau o sigma has image sigma.image[tau.image].
 _ODD = np.flatnonzero(S5_PARITY == -1)
 _TAU_PARTNER = s5_index(S5_IMAGES[:, S5_IMAGES[_ODD[0]]])
+_PAIRS = np.triu_indices(6, 1)
 
 
 @dataclass(frozen=True)
@@ -92,26 +93,13 @@ class TwoValuednessReport:
     fit: ResolventCoeffs
 
 
-def _sextic_rows(squares: np.ndarray) -> np.ndarray:
-    """Coefficients s5..s0 of prod_j (F - squares[:, j]), one row per row.
-
-    Expands column by column: each step multiplies every row's polynomial by
-    one more linear factor.
-    """
-    coeffs = np.zeros((squares.shape[0], 7), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for root in squares.T:
-        coeffs[:, 1:] = coeffs[:, 1:] - root[:, None] * coeffs[:, :-1]
-    return coeffs[:, 1:]
-
-
-def _fit_rows(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(a, b, c, r4, r2, r0) for every row of sextic coefficients s5..s0.
+def _fit_rows(coeffs) -> tuple[np.ndarray, ...]:
+    """(a, b, c, r4, r2, r0) of sextic coefficients s5..s0, each an array.
 
     Fits (a, b, c) from s5, s3, s1; r4, r2, r0 are the mismatches of s4, s2,
     s0, each relative to max(1, |s_j|).
     """
-    s5, s4, s3, s2, s1, s0 = coeffs.T
+    s5, s4, s3, s2, s1, s0 = coeffs
     a = s5 / 10.0
     b = (s3 - 60.0 * a**3) / 10.0
     c = (s1 - 26.0 * a**5 - 30.0 * a**2 * b) / 4.0
@@ -121,8 +109,8 @@ def _fit_rows(coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     return a, b, c, r4, r2, r0
 
 
-def _coeffs_at(rows: tuple[np.ndarray, ...], i: int) -> ResolventCoeffs:
-    """Row ``i`` of the :func:`_fit_rows` arrays."""
+def _coeffs_at(rows: tuple[np.ndarray, ...], i) -> ResolventCoeffs:
+    """Entry ``i`` of the :func:`_fit_rows` arrays."""
     a, b, c, r4, r2, r0 = (v[i] for v in rows)
     return ResolventCoeffs(
         a=complex(a),
@@ -135,24 +123,20 @@ def _coeffs_at(rows: tuple[np.ndarray, ...], i: int) -> ResolventCoeffs:
 def sextic_from_family(fam: FFamily) -> MonicPoly:
     """Monic degree-6 polynomial with the six squared family values as roots."""
     values = np.asarray(fam.values(), dtype=complex)
-    return MonicPoly(tuple(_sextic_rows((values * values)[None, :])[0]))
+    return poly_from_roots(values * values)
 
 
-def square_gap(fam: FFamily) -> float:
+def square_gap(values) -> np.ndarray:
     """Smallest relative gap between the six squared family values.
 
     Near-equal squares cluster the sextic's roots and inflate the fit's
     residual sensitivity; callers flag instances with a small gap instead of
-    accepting them silently.
+    accepting them silently.  ``values`` is one family (f, f_0, ..., f_4) or
+    a stack of them, shape (N, 6), with one gap per family.
     """
-    squares = [v * v for v in fam.values()]
-    scale = max(1.0, max(abs(s) for s in squares))
-    gaps = [
-        abs(squares[i] - squares[j])
-        for i in range(6)
-        for j in range(i + 1, 6)
-    ]
-    return min(gaps) / scale
+    squares = np.square(np.asarray(values, dtype=complex))
+    gaps = np.abs(squares[..., _PAIRS[0]] - squares[..., _PAIRS[1]]).min(axis=-1)
+    return gaps / np.maximum(1.0, np.abs(squares).max(axis=-1))
 
 
 def fit_abc(sextic: MonicPoly) -> ResolventCoeffs:
@@ -164,14 +148,14 @@ def fit_abc(sextic: MonicPoly) -> ResolventCoeffs:
     """
     if sextic.degree != 6:
         raise InvalidInputError(f"expected a sextic, got degree {sextic.degree}")
-    return _coeffs_at(_fit_rows(np.asarray(sextic.coeffs, dtype=complex)[None, :]), 0)
+    return _coeffs_at(_fit_rows(np.asarray(sextic.coeffs, dtype=complex)[:, None]), 0)
 
 
-def resolvent_form_residual(F: complex, a: complex, b: complex, c: complex) -> float:
+def resolvent_form_residual(F, a, b, c):
     """|form value| relative to the largest term magnitude in the sum.
 
     This measures how completely the six terms cancel, which is the honest
-    notion of "F satisfies the form" in floating point.
+    notion of "F satisfies the form" in floating point.  Arrays broadcast.
     """
     G = F + a
     terms = (
@@ -182,8 +166,10 @@ def resolvent_form_residual(F: complex, a: complex, b: complex, c: complex) -> f
         -4.0 * a * c,
         5.0 * b**2,
     )
-    scale = max(1.0, max(abs(t) for t in terms))
-    return abs(sum(terms)) / scale
+    total, scale = 0.0, 1.0
+    for t in terms:
+        total, scale = total + t, np.maximum(scale, np.abs(t))
+    return np.abs(total) / scale
 
 
 def degree12_poly(coeffs: ResolventCoeffs) -> MonicPoly:
@@ -208,42 +194,50 @@ def degree12_poly(coeffs: ResolventCoeffs) -> MonicPoly:
     return MonicPoly(tuple(out))
 
 
-def _rel_dev(rows: np.ndarray, ref: np.ndarray) -> float:
-    """Largest |rows - ref| relative to max(1, |ref|), over all entries."""
-    return float((np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))).max())
+def _rel_dev(rows: np.ndarray, ref: np.ndarray, one, floor) -> np.ndarray:
+    """Largest |rows - ref| relative to max(one, |ref|, floor), over each instance's rows."""
+    return (np.abs(rows - ref) / np.maximum(np.maximum(one, np.abs(ref)), floor)).max(axis=1)
 
 
-def two_valuedness_from_sweep(sweep: np.ndarray) -> TwoValuednessReport:
-    """Two-valuedness of (a, b, c), read from a sweep over all relabelings.
+def two_valuedness_rows(sweeps: np.ndarray) -> tuple:
+    """Two-valuedness of (a, b, c) for each sweep of an (N, 120, 6) stack.
 
-    ``sweep`` is ``family_sweep(roots)``, shape (120, 6):
-    row p is the family of the tuple relabeled by row p of ``S5_IMAGES``.
+    Row p of a sweep is the family of the tuple relabeled by row p of
+    ``S5_IMAGES``; one fit covers all N * 120 rows.  Returns the fit arrays
+    (a, b, c, r4, r2, r0) of shape (N, 120), column 0 the identity; the even,
+    odd and pair-symmetric spreads (N,); and per sweep None or its error.
+    A deviation counts relative to max(1, |reference|) but to no less than
+    1e-6 S^k, S = max(1, max|f|^2): the fit computes a, b, c (degrees k = 1,
+    3, 5 in the squares) from terms of size S^k, so they round by ~eps S^k.
     """
-    rows = _fit_rows(_sextic_rows(sweep * sweep))
-    triples = np.stack(rows[:3], axis=1)
-    if not np.isfinite(triples).all():
-        raise NumericFailureError("fitted (a, b, c) are not finite")
-    even_ref = triples[0]  # the identity comes first in S5_IMAGES order
-    odd_ref = triples[_ODD[0]]
-
-    # Symmetric functions of the unordered pair {triple(sigma), triple(tau o sigma)}
-    # for a fixed odd tau must not depend on sigma at all.
-    partners = triples[_TAU_PARTNER]
-    sym = np.concatenate([triples + partners, triples * partners], axis=1)
-
-    return TwoValuednessReport(
-        even_triple=tuple(complex(v) for v in even_ref),
-        odd_triple=tuple(complex(v) for v in odd_ref),
-        even_spread=_rel_dev(triples[A5_IN_S5], even_ref),
-        odd_spread=_rel_dev(triples[_ODD], odd_ref),
-        pair_symmetric_spread=_rel_dev(sym, sym[0]),
-        fit=_coeffs_at(rows, 0),
-    )
+    fit = _fit_rows(expand_roots(f * f for f in np.moveaxis(sweeps, 2, 0)))
+    scale = np.maximum(1.0, np.abs(sweeps).max(axis=(1, 2)) ** 2)[:, None]
+    even = odd = sym = 0.0
+    for k, v in zip((1, 3, 5), fit):  # spreads: maxima over a, b, c, in units of S^k (1 is S^-k)
+        p, one = v / scale**k, scale**-k
+        even = np.maximum(even, _rel_dev(p[:, A5_IN_S5], p[:, :1], one, 1e-6))  # identity first
+        odd = np.maximum(odd, _rel_dev(p[:, _ODD], p[:, _ODD[:1]], one, 1e-6))
+        # Symmetric functions of the unordered pair {p(sigma), p(tau o sigma)}
+        # for a fixed odd tau must not depend on sigma; a product's floor is
+        # the coefficient's times twice its largest magnitude.
+        partner, size = p[:, _TAU_PARTNER], np.abs(p).max(axis=1, keepdims=True)
+        for pair, unit, floor in ((p + partner, one, 1e-6), (p * partner, one**2, 2e-6 * size)):
+            sym = np.maximum(sym, _rel_dev(pair, pair[:, :1], unit, floor))
+    finite = np.logical_and.reduce([np.isfinite(p).all(axis=1) for p in fit[:3]])
+    message = "fitted (a, b, c) are not finite"
+    errors = [None if ok else NumericFailureError(message) for ok in finite]
+    return fit, (even, odd, sym), errors
 
 
 def two_valuedness_check(roots) -> TwoValuednessReport:
-    """Sweep (a, b, c) over all 120 relabelings and verify two-valuedness."""
+    """Two-valuedness of (a, b, c) for one tuple: :func:`two_valuedness_rows` of its sweep."""
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("two-valuedness needs distinct roots")
-    return two_valuedness_from_sweep(family_sweep(rt))
+    fit, spreads, (error,) = two_valuedness_rows(family_sweep(rt)[None])
+    if error:
+        raise error
+    even_triple = tuple(complex(v[0, 0]) for v in fit[:3])
+    odd_triple = tuple(complex(v[0, _ODD[0]]) for v in fit[:3])
+    return TwoValuednessReport(even_triple, odd_triple, *(float(s[0]) for s in spreads),
+                               fit=_coeffs_at(fit, (0, 0)))

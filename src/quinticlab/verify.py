@@ -17,18 +17,11 @@ import numpy as np
 
 from . import __version__
 from .clustering import DEDUP_TOL
-from .errors import QuinticLabError
-from .ffamily import (
-    RANK_TOL,
-    FFamily,
-    family_sweep,
-    orbit_from_sweep,
-    relation_rank,
-)
+from .ffamily import A5_IN_S5, RANK_TOL, FFamily, family_sweep, orbit_check, relation_rank
 from .instances import complex_to_pair, random_instance
 from .polynomials import is_degenerate
-from .principal import newton_bridge_gaps, phi_quintic, phi_values_from_sweep, power_sum_check
-from .resolvent import resolvent_form_residual, square_gap, two_valuedness_from_sweep
+from .principal import newton_gap_rows, power_sum_rows, product_values, quintic_rows
+from .resolvent import resolvent_form_residual, square_gap, two_valuedness_rows
 
 __all__ = ["run_verify", "verify_instance", "verify_sweep", "RESIDUAL_TOL", "SPREAD_TOL"]
 
@@ -38,134 +31,107 @@ NEWTON_BRIDGE_TOL = 1e-10
 P2_CONTROL_FLOOR = 1e-3
 P2_CONTROL_FRACTION = 0.95
 SQUARE_GAP_FLOOR = 1e-6
+CHUNK = 1000  # instances sampled, swept and checked together
+
+_SECTIONS = {  # the record's sections and fields, null until a check fills them
+    "orbit": ("count", "pairing_ok", "family_match_ok"),
+    "fit": ("r4", "r2", "r0", "form_residual_max", "square_gap", "clustered_squares"),
+    "two_valuedness": ("even_spread", "odd_spread", "pair_symmetric_spread"),
+    "principal": ("s5_value_count", "c4_mag", "c2_mag", "p1", "p3", "p2_magnitude",
+                  "newton_gap4", "newton_gap2"),
+}
 
 
-def _empty_record(roots) -> dict:
+def _empty_record(roots, skipped: bool = False) -> dict:
     return {
         "roots": [complex_to_pair(z) for z in roots],
-        "skipped_degenerate": False,
-        "orbit": {"count": None, "pairing_ok": None, "family_match_ok": None},
-        "fit": {
-            "r4": None,
-            "r2": None,
-            "r0": None,
-            "form_residual_max": None,
-            "square_gap": None,
-            "clustered_squares": None,
-        },
-        "two_valuedness": {
-            "even_spread": None,
-            "odd_spread": None,
-            "pair_symmetric_spread": None,
-        },
-        "principal": {
-            "s5_value_count": None,
-            "c4_mag": None,
-            "c2_mag": None,
-            "p1": None,
-            "p3": None,
-            "p2_magnitude": None,
-            "newton_gap4": None,
-            "newton_gap2": None,
-        },
+        "skipped_degenerate": skipped,
+        **{section: dict.fromkeys(fields) for section, fields in _SECTIONS.items()},
         "failures": [],
         "passed": False,
     }
 
 
 def verify_sweep(
-    roots, sweep: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL
-) -> dict:
-    """All per-instance checks on a non-degenerate root tuple; returns the record.
+    roots, sweeps: np.ndarray, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL
+) -> list[dict]:
+    """All per-instance checks on N non-degenerate root tuples; returns the records.
 
-    Every check reads ``sweep = family_sweep(roots)``: the orbit, the family
-    (row 0, the identity) and one fit of all 120 relabelings, whose identity
-    row is the instance's fit.  The orbit and product-value counts are 12 and
-    10 unless their gates raise, which fails the instance.
+    Every check reads ``sweeps = family_sweep(roots)``, shape (N, 120, 6): the
+    orbit, the family (row 0, the identity) and one fit of all N * 120
+    relabelings, whose identity rows are the instances' fits.  Each check is
+    an array operation over the N instances; a gate that rejects an instance
+    fails it alone, with the same message whatever N is.
     """
-    record = _empty_record(roots)
-    failures = record["failures"]
+    with np.errstate(all="ignore"):  # a non-finite value fails its own instance's gates
+        family = sweeps[:, 0]
+        orbit_values, orbit_errors = orbit_check(sweeps[:, A5_IN_S5, 0], family, tol_dedup)
+        fit, spreads, fit_errors = two_valuedness_rows(sweeps)
+        a, b, c, r4, r2, r0 = (v[:, 0, None] for v in fit)
+        form = resolvent_form_residual(orbit_values * orbit_values, a, b, c).max(axis=1)
+        phis, phi_errors = product_values(sweeps, tol_dedup)
+        coeffs, suppressed, quintic_errors = quintic_rows(phis)
+        columns = (r4[:, 0], r2[:, 0], r0[:, 0], square_gap(family), form, *spreads, *suppressed,
+                   *power_sum_rows(phis), *newton_gap_rows(phis, coeffs))
 
-    try:
-        orbit = orbit_from_sweep(sweep, tol_dedup)
-        record["orbit"]["count"] = len(orbit.values)
-        record["orbit"]["pairing_ok"] = len(orbit.pair_map) == 6
-        record["orbit"]["family_match_ok"] = len(orbit.family_match) == 12
-    except QuinticLabError as exc:
-        orbit = None
-        failures.append(f"orbit: {exc}")
+    records = []
+    for i, values in enumerate(zip(*(col.tolist() for col in columns))):
+        r4, r2, r0, gap, form, even, odd, sym, c4, c2, p1, p3, p2, gap4, gap2 = values
+        record = _empty_record(roots[i])
+        failures = record["failures"]
+        if orbit_errors[i]:
+            failures.append(f"orbit: {orbit_errors[i]}")
+        else:
+            record["orbit"].update(count=12, pairing_ok=True, family_match_ok=True)
+        # The fit is row 0 of two-valuedness's 120-row fit, so a failure of that
+        # fit fails both checks.
+        if fit_errors[i]:
+            failures += [f"fit: {fit_errors[i]}", f"two-valuedness: {fit_errors[i]}"]
+        else:
+            record["fit"].update(r4=r4, r2=r2, r0=r0, square_gap=gap,
+                                 clustered_squares=gap < SQUARE_GAP_FLOOR)
+            if max(r4, r2, r0) > tol_residual:
+                failures.append("fit: over-determination residuals above tolerance")
+            if not orbit_errors[i]:
+                record["fit"]["form_residual_max"] = form
+                if form > tol_residual:
+                    failures.append("fit: orbit values do not satisfy the form")
+            record["two_valuedness"].update(zip(_SECTIONS["two_valuedness"], (even, odd, sym)))
+            if max(even, odd, sym) > SPREAD_TOL:
+                failures.append("two-valuedness: spreads above tolerance")
+        error = phi_errors[i] or quintic_errors[i]
+        if not phi_errors[i]:
+            record["principal"]["s5_value_count"] = 10
+        if error:
+            failures.append(f"principal: {error}")
+        else:
+            record["principal"].update(c4_mag=c4, c2_mag=c2, p1=p1, p3=p3, p2_magnitude=p2,
+                                       newton_gap4=gap4, newton_gap2=gap2)
+            if max(c4, c2) > SPREAD_TOL:
+                failures.append("principal: suppressed coefficients above tolerance")
+            if max(p1, p3) > SPREAD_TOL:
+                failures.append("principal: power sums above tolerance")
+            if max(gap4, gap2) > NEWTON_BRIDGE_TOL:
+                failures.append("principal: coefficient and power-sum routes disagree")
 
-    # The fit is row 0 of two-valuedness's 120-row fit, so a failure of that
-    # fit fails both checks.
-    try:
-        tv = two_valuedness_from_sweep(sweep)
-    except QuinticLabError as exc:
-        tv = None
-        failures += [f"fit: {exc}", f"two-valuedness: {exc}"]
-
-    if tv is not None:
-        fit = tv.fit
-        gap = square_gap(FFamily.from_row(sweep[0]))
-        record["fit"]["r4"] = fit.residuals.r4
-        record["fit"]["r2"] = fit.residuals.r2
-        record["fit"]["r0"] = fit.residuals.r0
-        record["fit"]["square_gap"] = gap
-        record["fit"]["clustered_squares"] = gap < SQUARE_GAP_FLOOR
-        if fit.residuals.worst() > tol_residual:
-            failures.append("fit: over-determination residuals above tolerance")
-        if orbit is not None:
-            form_resid = max(
-                resolvent_form_residual(v * v, fit.a, fit.b, fit.c)
-                for v in orbit.values
-            )
-            record["fit"]["form_residual_max"] = form_resid
-            if form_resid > tol_residual:
-                failures.append("fit: orbit values do not satisfy the form")
-        record["two_valuedness"]["even_spread"] = tv.even_spread
-        record["two_valuedness"]["odd_spread"] = tv.odd_spread
-        record["two_valuedness"]["pair_symmetric_spread"] = tv.pair_symmetric_spread
-        if max(tv.even_spread, tv.odd_spread, tv.pair_symmetric_spread) > SPREAD_TOL:
-            failures.append("two-valuedness: spreads above tolerance")
-
-    try:
-        pf = phi_values_from_sweep(sweep, tol_dedup)
-        record["principal"]["s5_value_count"] = pf.s5_value_count
-        quintic = phi_quintic(pf)
-        record["principal"]["c4_mag"] = quintic.suppressed.c4_mag
-        record["principal"]["c2_mag"] = quintic.suppressed.c2_mag
-        if max(quintic.suppressed.c4_mag, quintic.suppressed.c2_mag) > SPREAD_TOL:
-            failures.append("principal: suppressed coefficients above tolerance")
-        ps = power_sum_check(pf)
-        record["principal"]["p1"] = ps.p1
-        record["principal"]["p3"] = ps.p3
-        record["principal"]["p2_magnitude"] = ps.p2_magnitude
-        if max(ps.p1, ps.p3) > SPREAD_TOL:
-            failures.append("principal: power sums above tolerance")
-        gap4, gap2 = newton_bridge_gaps(pf, quintic)
-        record["principal"]["newton_gap4"] = gap4
-        record["principal"]["newton_gap2"] = gap2
-        if max(gap4, gap2) > NEWTON_BRIDGE_TOL:
-            failures.append("principal: coefficient and power-sum routes disagree")
-    except QuinticLabError as exc:
-        failures.append(f"principal: {exc}")
-
-    record["passed"] = not failures
-    return record
-
-
-def _verify_roots(roots, tol_residual: float, tol_dedup: float) -> tuple[dict, np.ndarray | None]:
-    """The record of one root tuple, and its sweep (None when skipped)."""
-    if is_degenerate(roots):
-        record = _empty_record(roots)
-        record["skipped_degenerate"] = True
-        return record, None
-    sweep = family_sweep(roots)
-    return verify_sweep(roots, sweep, tol_residual, tol_dedup), sweep
+        record["passed"] = not failures
+        records.append(record)
+    return records
 
 
 def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
     """All per-instance checks on one root tuple; returns the record dict."""
-    return _verify_roots(roots, tol_residual, tol_dedup)[0]
+    if is_degenerate(roots):
+        return _empty_record(roots, skipped=True)
+    return verify_sweep([roots], family_sweep(roots)[None], tol_residual, tol_dedup)[0]
+
+
+def sample_chunks(seed: int, n: int):
+    """Instances (seed, 0..n-1) in chunks of ``CHUNK``: each chunk's first
+    index, its root tuples and their ``is_degenerate`` verdicts."""
+    for lo in range(0, n, CHUNK):
+        chunk = [random_instance(seed, index) for index in range(lo, min(n, lo + CHUNK))]
+        yield lo, chunk, [is_degenerate(roots) for roots in chunk]
 
 
 def run_verify(
@@ -175,27 +141,25 @@ def run_verify(
     tol_dedup: float = DEDUP_TOL,
     rank_tol: float = RANK_TOL,
 ) -> dict:
-    """Full property suite over instances (seed, 0..n-1); returns the report."""
+    """Full property suite over instances (seed, 0..n-1); returns the report.
+
+    Each chunk of ``CHUNK`` instances is one kernel call and one pass of array
+    checks; the report does not depend on the chunk size.
+    """
     start = time.perf_counter()
-    instances = []
-    families = []
-    batch_failures = []
+    instances, families, batch_failures = [], [], []
 
-    for index in range(n):
-        roots = random_instance(seed, index)
-        record = {"index": index}
-        checked, sweep = _verify_roots(roots, tol_residual, tol_dedup)
-        record.update(checked)
-        instances.append(record)
-        if sweep is not None:
-            families.append(FFamily.from_row(sweep[0]))
+    for lo, chunk, degenerate in sample_chunks(seed, n):
+        live = [roots for roots, skip in zip(chunk, degenerate) if not skip]
+        if live:
+            sweeps = family_sweep(live)
+            checked = iter(verify_sweep(live, sweeps, tol_residual, tol_dedup))
+            families += map(FFamily.from_row, sweeps[:, 0])
+        for index, (roots, skip) in enumerate(zip(chunk, degenerate), start=lo):
+            record = _empty_record(roots, skipped=True) if skip else next(checked)
+            instances.append({"index": index, **record})
 
-    rank_section = {
-        "rank": None,
-        "singular_values": None,
-        "ratio_s4_s1": None,
-        "skipped_reason": None,
-    }
+    rank_section = dict.fromkeys(("rank", "singular_values", "ratio_s4_s1", "skipped_reason"))
     if len(families) >= 10:
         rel = relation_rank(families, rank_tol)
         rank_section.update(
@@ -213,16 +177,9 @@ def run_verify(
         rank_section["skipped_reason"] = "fewer than 10 usable instances"
 
     active = [r for r in instances if not r["skipped_degenerate"]]
-    p2_values = [
-        r["principal"]["p2_magnitude"]
-        for r in active
-        if r["principal"]["p2_magnitude"] is not None
-    ]
-    p2_fraction = (
-        sum(1 for v in p2_values if v > P2_CONTROL_FLOOR) / len(p2_values)
-        if p2_values
-        else 0.0
-    )
+    p2_values = [r["principal"]["p2_magnitude"] for r in active]
+    p2_values = [v for v in p2_values if v is not None]
+    p2_fraction = sum(v > P2_CONTROL_FLOOR for v in p2_values) / max(1, len(p2_values))
     if p2_values and p2_fraction < P2_CONTROL_FRACTION:
         batch_failures.append("square-sum control is small on too many instances")
 

@@ -20,6 +20,16 @@ against.
 The clustering references count the orbit and product values by searching for
 the clusters with ``cluster_values``, as the package did before it read the
 classes off constant tables; the tests require both paths to agree.
+
+``class_values``, ``orbit_from_sweep``, ``phi_values_from_sweep``,
+``two_valuedness_from_sweep`` and ``newton_bridge_gaps`` are the package's
+batched checks viewed at one instance, in the scalar form the tests read.
+
+``verify_reference`` is the scalar verifier that the batched one replaced:
+it checks one instance at a time, in Python scalars where it did, and builds
+the same report.  It applies the current rules: count thresholds relative to
+the values, and two-valuedness deviations measured against no less than
+1e-6 of S, S^3 and S^5.
 """
 
 import itertools
@@ -37,11 +47,43 @@ from quinticlab import (
     NumericFailureError,
     phi_values,
 )
-from quinticlab.clustering import DEDUP_TOL, DEDUP_TOL_FLOOR, cluster_values
-from quinticlab.ffamily import A5_IN_S5, RANK_TOL, FFamily, OrbitReport
+from quinticlab import QuinticLabError, VerificationFailureError, random_instance, relation_rank
+from quinticlab.clustering import (
+    DEDUP_TOL,
+    DEDUP_TOL_FLOOR,
+    ClusterResult,
+    class_gate,
+    cluster_values,
+)
+from quinticlab.ffamily import (
+    _FAMILY_MATCH,
+    _ORBIT_CLASS,
+    _ORBIT_MEMBER,
+    _PAIR_MAP,
+    A5_IN_S5,
+    RANK_TOL,
+    FFamily,
+    OrbitReport,
+    family_sweep,
+    orbit_check,
+)
 from quinticlab.kernels import eval_f_rows
 from quinticlab.polynomials import as_root_tuple, is_degenerate, poly_from_roots
-from quinticlab.principal import PhiFamily, _coeff_scales, _phi_rows
+from quinticlab.principal import (
+    _PHI_CLASS_A5,
+    _PHI_CLASS_S5,
+    PhiFamily,
+    _phi_rows,
+    newton_gap_rows,
+    product_values,
+)
+from quinticlab.resolvent import (
+    _ODD,
+    _TAU_PARTNER,
+    TwoValuednessReport,
+    _coeffs_at,
+    two_valuedness_rows,
+)
 
 DPS = 50
 
@@ -362,8 +404,8 @@ def invariance_check(roots, tol: float = DEDUP_TOL) -> float:
     if is_degenerate(rt):
         raise DegenerateInstanceError("invariance check needs distinct roots")
     base = phi_coeff_vector(rt, tol)
-    values = _phi_a5_values(rt, tol)
-    scales = _coeff_scales(values)
+    s = max(1.0, max(abs(v) for v in _phi_a5_values(rt, tol)))
+    scales = [s ** (k + 1) for k in range(5)]
     worst = 0.0
     for perm in all_a5():
         other = phi_coeff_vector(apply(perm, rt), tol)
@@ -452,3 +494,274 @@ def clustering_phi_values(sweep, tol: float = DEDUP_TOL) -> PhiFamily:
     if five.count != 5:
         raise NumericFailureError(f"expected 5 product values, found {five.count}")
     return PhiFamily(values=five.centers, s5_value_count=cluster_values(phis, tol).count)
+
+
+def class_values(values, classes, tol: float = DEDUP_TOL) -> ClusterResult:
+    """The package's ``class_gate`` of one row of values; raises its error."""
+    centers, threshold, (error,) = class_gate(np.asarray(values)[None], classes, tol)
+    if error:
+        raise error
+    means = centers[0]
+    gaps = np.abs(means[:, None] - means[None, :]) + np.diag(np.full(means.size, np.inf))
+    sizes = tuple(int(k) for k in np.bincount(classes))
+    return ClusterResult(tuple(complex(z) for z in means), sizes, float(threshold[0]),
+                         float(gaps.min()))
+
+
+def orbit_from_sweep(sweep, tol: float = DEDUP_TOL) -> OrbitReport:
+    """The package's ``orbit_check`` of one sweep, as a report; raises its error."""
+    centers, (error,) = orbit_check(sweep[None, A5_IN_S5, 0], sweep[None, 0], tol)
+    if error:
+        raise error
+    return OrbitReport(values=tuple(complex(z) for z in centers[0]), pair_map=_PAIR_MAP,
+                       family_match=_FAMILY_MATCH, degenerate=False,
+                       family=FFamily.from_row(sweep[0]))
+
+
+def phi_values_from_sweep(sweep, tol: float = DEDUP_TOL) -> PhiFamily:
+    """The package's ``product_values`` of one sweep; raises its error."""
+    values, (error,) = product_values(sweep[None], tol)
+    if error:
+        raise error
+    return PhiFamily(values=tuple(complex(v) for v in values[0]), s5_value_count=10)
+
+
+def two_valuedness_from_sweep(sweep) -> TwoValuednessReport:
+    """The package's ``two_valuedness_rows`` of one sweep; raises its error."""
+    fit, spreads, (error,) = two_valuedness_rows(sweep[None])
+    if error:
+        raise error
+    even, odd, sym = (float(s[0]) for s in spreads)
+    return TwoValuednessReport(
+        even_triple=tuple(complex(v[0, 0]) for v in fit[:3]),
+        odd_triple=tuple(complex(v[0, _ODD[0]]) for v in fit[:3]),
+        even_spread=even,
+        odd_spread=odd,
+        pair_symmetric_spread=sym,
+        fit=_coeffs_at(fit, (0, 0)),
+    )
+
+
+def newton_bridge_gaps(pf: PhiFamily, quintic) -> tuple[float, float]:
+    """The package's ``newton_gap_rows`` of one product family and its quintic."""
+    coeffs = np.array([[quintic.c4, quintic.p, quintic.c2, quintic.q, quintic.r]])
+    gap4, gap2 = newton_gap_rows(np.array([pf.values], dtype=complex), coeffs)
+    return float(gap4[0]), float(gap2[0])
+
+
+# The scalar verifier: one instance at a time, each check on its own.
+
+_SPREAD_TOL, _NEWTON_TOL, _SUPPRESSED_TOL = 1e-7, 1e-10, 1e-5
+
+
+def _scalar_class_values(values, classes, tol):
+    vals = np.asarray(values, dtype=complex)
+    threshold = max(float(tol), DEDUP_TOL_FLOOR) * float(np.max(np.abs(vals)))
+    counts = np.bincount(classes)
+    centers = (np.bincount(classes, vals.real) + 1j * np.bincount(classes, vals.imag)) / counts
+    spread = float(np.max(np.abs(vals - centers[classes])))
+    gaps = np.abs(centers[:, None] - centers[None, :]) + np.diag(np.full(counts.size, np.inf))
+    min_gap = float(gaps.min())
+    if not (spread <= threshold and min_gap > 10.0 * threshold):
+        raise NumericFailureError(
+            f"ambiguous count: copies of one value lie up to {spread:.3e} apart and "
+            f"distinct values {min_gap:.3e} apart, against the threshold {threshold:.3e}"
+        )
+    return [complex(z) for z in centers], threshold
+
+
+def _scalar_orbit(sweep, tol):
+    values, threshold = _scalar_class_values(sweep[A5_IN_S5, 0], _ORBIT_CLASS, tol)
+    targets = np.concatenate([sweep[0], -sweep[0]])[_ORBIT_MEMBER]
+    if not np.abs(np.asarray(values) - targets).max() <= threshold:
+        raise NumericFailureError("orbit values do not match the signed family within tolerance")
+    return values
+
+
+def _scalar_two_valuedness(sweep):
+    """(a, b, c, r4, r2, r0) of the identity row and the three spreads."""
+    squares = sweep * sweep
+    coeffs = np.zeros((120, 7), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for root in squares.T:
+        coeffs[:, 1:] = coeffs[:, 1:] - root[:, None] * coeffs[:, :-1]
+    s5, s4, s3, s2, s1, s0 = coeffs[:, 1:].T
+    a = s5 / 10.0
+    b = (s3 - 60.0 * a**3) / 10.0
+    c = (s1 - 26.0 * a**5 - 30.0 * a**2 * b) / 4.0
+    r4 = np.abs(s4 - 35.0 * a**2) / np.maximum(1.0, np.abs(s4))
+    r2 = np.abs(s2 - 55.0 * a**4 - 30.0 * a * b) / np.maximum(1.0, np.abs(s2))
+    r0 = np.abs(s0 - 5.0 * a**6 - 10.0 * a**3 * b - 5.0 * b**2) / np.maximum(1.0, np.abs(s0))
+    rows = (a, b, c, r4, r2, r0)
+    triples = np.stack(rows[:3], axis=1)
+    if not np.isfinite(triples).all():
+        raise NumericFailureError("fitted (a, b, c) are not finite")
+    # a, b, c in units of S, S^3, S^5, S = max(1, max|f|^2) of the sweep; a
+    # deviation is relative to max(1, |ref|) in the coefficient's own units, but
+    # to no less than 1e-6 of its unit (pair products: 2e-6 of its largest
+    # magnitude, in those units).
+    scale = np.maximum(1.0, np.abs(sweep).max(keepdims=True) ** 2)
+    triples = np.stack([v / scale[0] ** k for k, v in zip((1, 3, 5), rows)], axis=1)
+    ones = np.concatenate([scale[0] ** -k for k in (1, 3, 5)])
+    floors = np.full(3, 1e-6)
+
+    def rel_dev(rows, ref, one, floor):
+        return float((np.abs(rows - ref) / np.maximum(np.maximum(one, np.abs(ref)), floor)).max())
+
+    partners = triples[_TAU_PARTNER]
+    sym = np.concatenate([triples + partners, triples * partners], axis=1)
+    sym_floors = np.concatenate([floors, 2 * floors * np.abs(triples).max(axis=0)])
+    spreads = (rel_dev(triples[A5_IN_S5], triples[0], ones, floors),
+               rel_dev(triples[_ODD], triples[_ODD[0]], ones, floors),
+               rel_dev(sym, sym[0], np.concatenate([ones, ones**2]), sym_floors))
+    return [complex(v[0]) for v in rows[:3]] + [float(v[0]) for v in rows[3:]], spreads
+
+
+def _scalar_square_gap(family):
+    squares = [complex(v) * complex(v) for v in family]
+    scale = max(1.0, max(abs(s) for s in squares))
+    return min(abs(squares[i] - squares[j]) for i in range(6) for j in range(i + 1, 6)) / scale
+
+
+def _scalar_form_residual(F, a, b, c):
+    G = F + a
+    terms = (G**6, 4.0 * a * G**5, 10.0 * b * G**3, 4.0 * c * G, -4.0 * a * c, 5.0 * b**2)
+    return abs(sum(terms)) / max(1.0, max(abs(t) for t in terms))
+
+
+def _scalar_phi_values(sweep, tol):
+    phis = _phi_rows(sweep)
+    values, _ = _scalar_class_values(phis[A5_IN_S5], _PHI_CLASS_A5, tol)
+    _scalar_class_values(phis, _PHI_CLASS_S5, tol)
+    return values
+
+
+def _scalar_principal(values):
+    """(c4_mag, c2_mag, p1, p3, p2_magnitude, gap4, gap2) of the five product values."""
+    c = np.array([1.0 + 0j])
+    for r in values:
+        c = np.convolve(c, np.array([1.0 + 0j, -r]))
+    c4, _, c2, _, _ = MonicPoly(tuple(c[1:])).coeffs
+    s = max(1.0, max(abs(v) for v in values))
+    scales = [max(1.0, s ** (k + 1)) for k in range(5)]
+    c4_mag, c2_mag = abs(c4) / scales[0], abs(c2) / scales[2]
+    if c4_mag > _SUPPRESSED_TOL or c2_mag > _SUPPRESSED_TOL:
+        raise VerificationFailureError(
+            f"z^4 and z^2 coefficients failed to vanish: "
+            f"|c4| = {c4_mag:.3e}, |c2| = {c2_mag:.3e} relative"
+        )
+    acc, sums = np.ones(5, dtype=complex), []
+    for _ in range(3):
+        acc = acc * np.asarray(values)
+        sums.append(complex(np.sum(acc)))
+    p1, p2, p3 = sums
+    e2 = (p1 * p1 - p2) / 2.0
+    e3 = (e2 * p1 - p1 * p2 + p3) / 3.0
+    return (c4_mag, c2_mag, abs(p1) / s, abs(p3) / s**3, abs(p2) / s**2,
+            abs(c4 - (-p1)) / scales[0], abs(c2 - (-e3)) / scales[2])
+
+
+def _reference_record(roots, skipped: bool) -> dict:
+    return {
+        "roots": [[float(z.real), float(z.imag)] for z in roots],
+        "skipped_degenerate": skipped,
+        "orbit": dict.fromkeys(("count", "pairing_ok", "family_match_ok")),
+        "fit": dict.fromkeys(("r4", "r2", "r0", "form_residual_max", "square_gap",
+                              "clustered_squares")),
+        "two_valuedness": dict.fromkeys(("even_spread", "odd_spread", "pair_symmetric_spread")),
+        "principal": dict.fromkeys(("s5_value_count", "c4_mag", "c2_mag", "p1", "p3",
+                                    "p2_magnitude", "newton_gap4", "newton_gap2")),
+        "failures": [],
+        "passed": False,
+    }
+
+
+def verify_sweep_reference(roots, sweep, tol_residual=1e-6, tol_dedup=DEDUP_TOL) -> dict:
+    """The record of one non-degenerate instance, one check at a time."""
+    record = _reference_record(roots, skipped=False)
+    failures = record["failures"]
+    try:
+        orbit = _scalar_orbit(sweep, tol_dedup)
+        record["orbit"].update(count=12, pairing_ok=True, family_match_ok=True)
+    except QuinticLabError as exc:
+        orbit = None
+        failures.append(f"orbit: {exc}")
+    try:
+        (a, b, c, r4, r2, r0), spreads = _scalar_two_valuedness(sweep)
+    except QuinticLabError as exc:
+        spreads = None
+        failures += [f"fit: {exc}", f"two-valuedness: {exc}"]
+    if spreads is not None:
+        gap = _scalar_square_gap(sweep[0])
+        record["fit"].update(r4=r4, r2=r2, r0=r0, square_gap=gap, clustered_squares=gap < 1e-6)
+        if max(r4, r2, r0) > tol_residual:
+            failures.append("fit: over-determination residuals above tolerance")
+        if orbit is not None:
+            form = max(_scalar_form_residual(v * v, a, b, c) for v in orbit)
+            record["fit"]["form_residual_max"] = form
+            if form > tol_residual:
+                failures.append("fit: orbit values do not satisfy the form")
+        record["two_valuedness"].update(zip(record["two_valuedness"], spreads))
+        if max(spreads) > _SPREAD_TOL:
+            failures.append("two-valuedness: spreads above tolerance")
+    try:
+        values = _scalar_phi_values(sweep, tol_dedup)
+        record["principal"]["s5_value_count"] = 10
+        principal = _scalar_principal(values)
+        record["principal"].update(zip(record["principal"], (10, *principal)))
+        c4, c2, p1, p3, _, gap4, gap2 = principal
+        if max(c4, c2) > _SPREAD_TOL:
+            failures.append("principal: suppressed coefficients above tolerance")
+        if max(p1, p3) > _SPREAD_TOL:
+            failures.append("principal: power sums above tolerance")
+        if max(gap4, gap2) > _NEWTON_TOL:
+            failures.append("principal: coefficient and power-sum routes disagree")
+    except QuinticLabError as exc:
+        failures.append(f"principal: {exc}")
+    record["passed"] = not failures
+    return record
+
+
+def verify_reference(seed: int, n: int) -> dict:
+    """``run_verify(seed, n)`` at default tolerances, one instance at a time,
+    without ``meta``."""
+    instances, families = [], []
+    for index in range(n):
+        roots = random_instance(seed, index)
+        if is_degenerate(roots):
+            instances.append({"index": index, **_reference_record(roots, skipped=True)})
+            continue
+        sweep = family_sweep(roots)
+        instances.append({"index": index, **verify_sweep_reference(roots, sweep)})
+        families.append(FFamily.from_row(sweep[0]))
+    rank = {"rank": None, "singular_values": None, "ratio_s4_s1": None, "skipped_reason": None}
+    batch_failures = []
+    if len(families) >= 10:
+        rel = relation_rank(families)
+        rank.update(rank=rel.rank, singular_values=list(rel.singular_values),
+                    ratio_s4_s1=rel.ratio_s4_s1)
+        if rel.rank != 3:
+            batch_failures.append(f"rank test: numerical rank {rel.rank} != 3")
+        elif rel.ratio_s4_s1 >= RANK_TOL:
+            batch_failures.append("rank test: sigma4/sigma1 above threshold")
+    else:
+        rank["skipped_reason"] = "fewer than 10 usable instances"
+    active = [r for r in instances if not r["skipped_degenerate"]]
+    p2 = [r["principal"]["p2_magnitude"] for r in active
+          if r["principal"]["p2_magnitude"] is not None]
+    fraction = sum(1 for v in p2 if v > 1e-3) / len(p2) if p2 else 0.0
+    if p2 and fraction < 0.95:
+        batch_failures.append("square-sum control is small on too many instances")
+    failed = [r["index"] for r in active if not r["passed"]]
+    skipped = [r["index"] for r in instances if r["skipped_degenerate"]]
+    skip_rate = len(skipped) / n if n else 0.0
+    summary = {
+        "passed": len(active) - len(failed),
+        "failed": failed,
+        "skipped": skipped,
+        "skip_rate": skip_rate,
+        "p2_control_fraction": fraction,
+        "batch_failures": batch_failures,
+        "ok": not failed and not batch_failures and skip_rate < 0.01,
+    }
+    return {"rank_test": rank, "summary": summary, "instances": instances}

@@ -21,17 +21,19 @@ from quinticlab.cli import main
 from quinticlab.instances import complex_to_pair
 
 
-def _tally_calls(monkeypatch, original, work=lambda args: 1) -> list:
+def _tally_calls(monkeypatch, original, work=lambda args, result: 1) -> list:
     """Count calls of ``original`` made through any quinticlab namespace.
 
     ``from .x import y`` copies the binding into the importing module, so the
-    counting wrapper replaces every binding of the function object.
+    counting wrapper replaces every binding of the function object.  Each
+    call adds ``work(args, result)`` to the tally.
     """
     tally = []
 
     def counted(*args, **kwargs):
-        tally.append(work(args))
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        tally.append(work(args, result))
+        return result
 
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "quinticlab" or name.startswith("quinticlab.")):
@@ -41,23 +43,34 @@ def _tally_calls(monkeypatch, original, work=lambda args: 1) -> list:
     return tally
 
 
+def _kernel_rows(args, result) -> int:
+    """Values of one kernel call: index rows times tuples."""
+    return np.size(result)
+
+
+def _polynomials(args, result) -> int:
+    """Polynomials of one expand_roots call, one per entry of a coefficient."""
+    return np.size(result[0])
+
+
 def test_verify_work_per_instance(monkeypatch):
-    # One sweep per instance: the 720 entries of 120 relabelings x 6 family
-    # members are f at the 120 distinct index rows, one kernel call.  The
-    # orbit and product-value counts come from constant class tables, with no
-    # clustering.  The principal quintic of the five product values is
-    # expanded once, by phi_quintic; newton_bridge_gaps reads its coefficients.
+    # One kernel call for the whole batch: f at the 120 distinct index rows
+    # of every instance, whose 720 entries per instance are the sweep of 120
+    # relabelings x 6 family members.  The orbit and product-value counts
+    # come from constant class tables, with no clustering.  Two expansions:
+    # the 120 sextics of every instance, and the principal quintic of every
+    # instance's five product values.
     n = 50
-    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, lambda args: len(args[1]))
-    expansions = _tally_calls(monkeypatch, polynomials.poly_from_roots)
+    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, _kernel_rows)
+    expansions = _tally_calls(monkeypatch, polynomials.expand_roots, _polynomials)
     clusterings = _tally_calls(monkeypatch, clustering.cluster_values)
 
     report = run_verify(1, n)
 
     assert report["summary"]["ok"]
     assert report["summary"]["skipped"] == []
-    assert rows == [120] * n
-    assert len(expansions) == n
+    assert rows == [120 * n]
+    assert sorted(expansions) == [n, 120 * n]
     assert clusterings == []
 
 
@@ -73,18 +86,19 @@ def test_verify_fits_once_per_instance(monkeypatch):
 
 
 def test_batch_orbit_work_per_instance(monkeypatch, capsys):
-    # One kernel call per instance: the 60 even relabelings of f.  The family
-    # patterns are even, so the family rows, which the rank test reuses, are
-    # among them.  The count, pairs and labels come from constant tables.
+    # One kernel call for the whole batch: the 60 even relabelings of f of
+    # every instance.  The family patterns are even, so the family rows,
+    # which the rank test reuses, are among them.  The count, pairs and
+    # labels come from constant tables.
     n = 16
-    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, lambda args: len(args[1]))
+    rows = _tally_calls(monkeypatch, kernels.eval_f_rows, _kernel_rows)
     clusterings = _tally_calls(monkeypatch, clustering.cluster_values)
 
     code = main(["orbit", "--seed", "5", "--n", str(n), "--format", "json"])
     capsys.readouterr()
 
     assert code == 0
-    assert rows == [60] * n
+    assert rows == [60 * n]
     assert clusterings == []
 
 

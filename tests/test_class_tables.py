@@ -13,7 +13,7 @@ import pytest
 
 from quinticlab import NumericFailureError, a5_orbit, phi_values, random_instance
 from quinticlab import ffamily
-from quinticlab.clustering import class_values, cluster_values, first_occurrence
+from quinticlab.clustering import cluster_values, first_occurrence
 from quinticlab.ffamily import (
     _FAMILY_MATCH,
     _ORBIT_CLASS,
@@ -21,11 +21,18 @@ from quinticlab.ffamily import (
     A5_IN_S5,
     S5_PARITY,
     family_sweep,
-    orbit_from_sweep,
 )
-from quinticlab.principal import _PHI_CLASS_A5, _PHI_CLASS_S5, _phi_rows, phi_values_from_sweep
+from quinticlab.principal import _PHI_CLASS_A5, _PHI_CLASS_S5, _phi_rows
 
-from oracles import all_s5, clustering_orbit, clustering_phi_values, family_values_for_perms
+from oracles import (
+    all_s5,
+    class_values,
+    clustering_orbit,
+    clustering_phi_values,
+    family_values_for_perms,
+    orbit_from_sweep,
+    phi_values_from_sweep,
+)
 
 
 def _clustered_classes(values) -> np.ndarray:
@@ -97,7 +104,10 @@ def test_single_instance_paths_equal_clustering_path():
 
 
 def test_class_values_equal_cluster_values_bitwise(sweeps):
+    # The two thresholds, tol * max|v| and tol * max(1, max|v|), agree only
+    # where max|v| >= 1; below 1 they differ by design (see the next test).
     values = sweeps[0][A5_IN_S5, 0]
+    assert np.abs(values).max() >= 1.0
     got, want = class_values(values, _ORBIT_CLASS), cluster_values(values)
     assert (got.centers, got.sizes, got.threshold) == (want.centers, want.sizes, want.threshold)
 
@@ -145,3 +155,38 @@ def test_one_perturbed_product_row_fails_the_count(parity):
     sweep[rows[phis[rows].argmax()]] *= 1.0 + 1e-6
     with pytest.raises(NumericFailureError):
         phi_values_from_sweep(sweep)
+
+
+def _scaled_sweep(scale: float) -> np.ndarray:
+    return family_sweep([scale * z for z in random_instance(17, 2)])
+
+
+def test_below_1_the_class_gate_and_clustering_differ():
+    # At root scale 0.2 the product values (degree 15) lie near 1e-9.
+    # cluster_values links values within an absolute 1e-7 there and merges all
+    # ten into one cluster; the class gate, relative to the values, finds ten.
+    phis = _phi_rows(_scaled_sweep(0.2))
+    assert np.abs(phis).max() < 1e-8
+    assert cluster_values(phis).count == 1
+    assert class_values(phis, _PHI_CLASS_S5).count == 10
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_at_root_scale_0_2_a_perturbed_product_row_still_fails(parity):
+    sweep = _scaled_sweep(0.2)
+    assert phi_values_from_sweep(sweep).s5_value_count == 10
+    phis = np.abs(_phi_rows(sweep))
+    rows = np.flatnonzero(S5_PARITY == parity)
+    sweep[rows[phis[rows].argmax()]] *= 1.0 + 1e-6
+    with pytest.raises(NumericFailureError):
+        phi_values_from_sweep(sweep)
+
+
+def test_copies_agree_to_1e_7_of_the_values_below_1():
+    # Below max|v| = 1 the copy test is stricter than an absolute 1e-7: a row
+    # of product values moved by 1e-6 of their size (about 1e-15) fails it.
+    sweep = _scaled_sweep(0.2)
+    phis = _phi_rows(sweep)
+    phis[1] *= 1.0 + 1e-6
+    with pytest.raises(NumericFailureError, match="ambiguous count"):
+        class_values(phis, _PHI_CLASS_S5)

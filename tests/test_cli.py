@@ -183,6 +183,50 @@ def test_flagged_tuple_exits_3_in_every_subcommand(scale, tmp_path):
     assert codes == [3, 3, 3]
 
 
+def _scaled_instance_file(tmp_path, source: str, index: int, scale: float):
+    """random_instance(77, index) scaled by ``scale``, as a --roots or --coeffs file."""
+    roots = [scale * z for z in random_instance(77, index)]
+    if source == "--roots":
+        payload = {"roots": [complex_to_pair(z) for z in roots]}
+    else:
+        coeffs = poly_from_roots(roots).coeffs
+        payload = {"coefficients": [complex_to_pair(z) for z in coeffs]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["--roots", "--coeffs"])
+def test_overflow_is_a_numeric_failure_not_a_traceback(source, tmp_path, capsys):
+    # At root scale 1e5, b**2 of degree12_poly leaves the double range and
+    # Python raises OverflowError; main reports it in one line with exit 4.
+    # (The correct outcome, exit 0, needs scale-free numerics.)
+    path = _scaled_instance_file(tmp_path, source, 0, 1e5)
+    assert main(["resolve", source, path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: overflow") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["--roots", "--coeffs"])
+def test_brioschi_at_root_scale_1e4_passes(source, tmp_path, capsys):
+    # The scalar max|Phi|**5 used to overflow here (OverflowError, exit 1);
+    # the principal checks read only the scales up to max|Phi|**3.
+    path = _scaled_instance_file(tmp_path, source, 15, 1e4)
+    code, payload = run_json(capsys, "brioschi", source, path)
+    assert code == 0
+    assert payload["s5_value_count"] == 10
+
+
+@pytest.mark.parametrize("source", ["--roots", "--coeffs"])
+def test_brioschi_at_root_scale_0_2_counts_ten_values(source, tmp_path, capsys):
+    # The product values have degree 15 and lie near 1e-9 here; an absolute
+    # 1e-7 count threshold merged them into one ("found 1", exit 4).
+    path = _scaled_instance_file(tmp_path, source, 0, 0.2)
+    code, payload = run_json(capsys, "brioschi", source, path)
+    assert code == 0
+    assert payload["s5_value_count"] == 10
+
+
 class TestVerify:
     def test_small_batch_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -231,6 +231,21 @@ class TestRelationRank:
         with pytest.raises(InvalidInputError):
             relation_rank(samples[:9])
 
+    def test_known_singular_values_pin_rank_and_ratio(self):
+        # U diag(sigma) V^H with sigma_1 = 4 and sigma_4 = 1e-6: between
+        # rank_tol / sigma_1 and rank_tol * sigma_1, so dividing by sigma_1
+        # in the threshold counts rank 4.  sigma_5 differs from sigma_4, so
+        # reading the fifth singular value gives the wrong ratio.
+        sigma = np.array([4.0, 2.0, 1.0, 1e-6, 1e-8, 1e-10])
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        matrix = u @ np.diag(sigma) @ v.conj().T
+        report = relation_rank([FFamily.from_row(row) for row in matrix])
+        assert report.rank == 3
+        assert report.ratio_s4_s1 == pytest.approx(2.5e-7, rel=1e-8)
+        assert report.singular_values == pytest.approx(tuple(sigma), rel=1e-6, abs=1e-15)
+
 
 class TestClosedFormRelations:
     # Each relation must cancel to roundoff: |sum c_j v_j| against the sum of

@@ -7,7 +7,6 @@ from quinticlab import (
     VerificationFailureError,
     f_family,
     find_roots,
-    newton_bridge_gaps,
     phi_quintic,
     phi_values,
     power_sum_check,
@@ -16,7 +15,15 @@ from quinticlab.clustering import cluster_values
 from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.principal import PhiFamily
 
-from oracles import all_s5, apply, invariance_check, phi, phi_coeff_vector, phi_oracle
+from oracles import (
+    all_s5,
+    apply,
+    invariance_check,
+    newton_bridge_gaps,
+    phi,
+    phi_coeff_vector,
+    phi_oracle,
+)
 
 
 class TestPhi:

@@ -37,6 +37,7 @@ ALLOWED = {
     ("ffamily.py", "s5_index"): "runs only at import, to build the class tables",
     ("clustering.py", "cluster_values"): TRACER_PINNED,
     ("clustering.py", "_component_labels"): "runs only inside cluster_values",
+    ("clustering.py", "ClusterResult.count"): "read only off cluster_values results",
     ("resolvent.py", "two_valuedness_check"): TRACER_PINNED,
     ("verify.py", "verify_instance"): TRACER_PINNED,
 }

@@ -18,10 +18,18 @@ from quinticlab import (
 )
 from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.instances import random_instance
-from quinticlab.ffamily import S5_PARITY
-from quinticlab.resolvent import _TAU_PARTNER, square_gap, two_valuedness_from_sweep
+from quinticlab import resolvent
+from quinticlab.ffamily import A5_IN_S5, S5_PARITY
+from quinticlab.resolvent import _TAU_PARTNER, square_gap
 
-from oracles import all_s5, compose, eval_poly, eval_resolvent_form, two_valuedness_reference
+from oracles import (
+    all_s5,
+    compose,
+    eval_poly,
+    eval_resolvent_form,
+    two_valuedness_from_sweep,
+    two_valuedness_reference,
+)
 
 
 def _symbolic_sextic_coeffs():
@@ -216,4 +224,43 @@ class TestArrayCore:
 
 
 def test_square_gap_is_generically_large(seeded_roots):
-    assert square_gap(f_family(seeded_roots)) > 1e-6
+    assert square_gap(f_family(seeded_roots).values()) > 1e-6
+
+
+class TestSpreadFloor:
+    """Spreads count deviations against max(1, |ref|), or 1e-6 S^k when larger.
+
+    On this sampled instance S = max|f|^2 = 24.5 and c = 7.8e-5 at the
+    identity, against S^5 = 8.8e6: the fit's rounding moved c by 1.5e-10
+    across the even rows and the product of the pair (c, c') by 2.4e-7,
+    which an absolute 1e-7 read as a two-valuedness failure.
+    """
+
+    ROOTS = random_instance(2641972118475640975, 69)
+
+    def spreads(self, monkeypatch, coefficient: int, delta: float) -> list[float]:
+        """The three spreads with ``delta`` added to one even row of a, b or c."""
+        fit_rows = resolvent._fit_rows
+
+        def shifted(coeffs):
+            fit = list(fit_rows(coeffs))
+            fit[coefficient] = fit[coefficient] + delta * (np.arange(120) == A5_IN_S5[1])
+            return tuple(fit)
+
+        monkeypatch.setattr(resolvent, "_fit_rows", shifted)
+        _, spreads, _ = resolvent.two_valuedness_rows(family_sweep([self.ROOTS]))
+        return [float(s[0]) for s in spreads]
+
+    def test_rounding_of_a_small_coefficient_passes(self, monkeypatch):
+        assert max(self.spreads(monkeypatch, 2, 0.0)) < 1e-7
+
+    @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
+    def test_a_small_coefficient_may_move_by_1e_13_s5(self, monkeypatch, factor, fails):
+        s5 = max(1.0, float(np.abs(family_sweep(self.ROOTS)).max()) ** 2) ** 5
+        even = self.spreads(monkeypatch, 2, factor * 1e-13 * s5)[0]
+        assert (even > 1e-7) == fails
+
+    def test_where_1e_6_s3_is_below_1_the_gate_is_absolute(self, monkeypatch):
+        # b = 0.017 and 1e-6 S^3 = 0.015, so b is gated at an absolute 1e-7.
+        assert self.spreads(monkeypatch, 1, 0.5e-7)[0] < 1e-7
+        assert self.spreads(monkeypatch, 1, 2e-7)[0] > 1e-7

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from quinticlab import verify
 from quinticlab.ffamily import S5_PARITY, family_sweep
 from quinticlab.instances import random_instance
 from quinticlab.verify import SPREAD_TOL, run_verify, verify_instance, verify_sweep
+
+from oracles import verify_reference
 
 
 def test_instance_record_passes_on_generic_input():
@@ -55,35 +59,130 @@ def test_small_batch_skips_rank_test():
     assert report["summary"]["ok"] is True
 
 
-def test_perturbed_odd_row_fails_two_valuedness():
-    # Negative control for the array core: one odd relabeling's family scaled
-    # by (1 + 1e-6) must break the odd-coset agreement; the sweep as computed
-    # must pass.
-    roots = random_instance(17, 2)
-    sweep = family_sweep(roots)
-    assert verify_sweep(roots, sweep)["passed"] is True
-
-    perturbed = sweep.copy()
+def _doctored_stack(k: int = 3, n: int = 8):
+    """Roots and sweeps of n instances, and the odd row to doctor in instance k."""
+    roots = [random_instance(17, i) for i in range(n)]
     odd_row = int((S5_PARITY == -1).nonzero()[0][3])
-    perturbed[odd_row] *= 1.0 + 1e-6
-    record = verify_sweep(roots, perturbed)
-    assert record["two_valuedness"]["odd_spread"] > SPREAD_TOL
-    assert record["passed"] is False
-    assert "two-valuedness: spreads above tolerance" in record["failures"]
+    return roots, family_sweep(np.array(roots)), k, odd_row
+
+
+def test_perturbed_odd_row_fails_two_valuedness():
+    # Negative control for the array core: one odd relabeling's family of
+    # instance k scaled by (1 + 1e-6) must break that instance's odd-coset
+    # agreement and leave its neighbours' records as they were.
+    roots, sweeps, k, odd_row = _doctored_stack()
+    clean = verify_sweep(roots, sweeps)
+    assert all(record["passed"] for record in clean)
+
+    sweeps[k, odd_row] *= 1.0 + 1e-6
+    records = verify_sweep(roots, sweeps)
+    assert records[k]["two_valuedness"]["odd_spread"] > SPREAD_TOL
+    assert records[k]["passed"] is False
+    assert "two-valuedness: spreads above tolerance" in records[k]["failures"]
+    assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sweep
 def test_failed_shared_fit_fails_fit_and_two_valuedness():
     # The instance's fit is row 0 of the 120-row fit, so a non-finite triple
-    # on any row fails both checks, in the report's check order.
-    roots = random_instance(17, 2)
-    sweep = family_sweep(roots)
-    odd_row = int((S5_PARITY == -1).nonzero()[0][3])
-    sweep[odd_row] = float("inf")
-    record = verify_sweep(roots, sweep)
-    assert record["fit"]["r4"] is None
-    assert record["two_valuedness"]["odd_spread"] is None
-    assert record["failures"][:2] == [
+    # on any row fails both checks, in the report's check order, for that
+    # instance alone.
+    roots, sweeps, k, odd_row = _doctored_stack()
+    clean = verify_sweep(roots, sweeps)
+    sweeps[k, odd_row] = float("inf")
+    records = verify_sweep(roots, sweeps)
+    assert records[k]["fit"]["r4"] is None
+    assert records[k]["two_valuedness"]["odd_spread"] is None
+    assert records[k]["failures"][:2] == [
         "fit: fitted (a, b, c) are not finite",
         "two-valuedness: fitted (a, b, c) are not finite",
     ]
+    assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
+
+
+def test_single_instance_record_is_the_batched_record():
+    roots = [random_instance(19, i) for i in range(6)]
+    records = verify_sweep(roots, family_sweep(np.array(roots)))
+    assert [verify_instance(rt) for rt in roots] == records
+
+
+# Both verifiers compute these with the same array operations, so they agree
+# bitwise.  The reference computes the other floats with Python arithmetic or
+# np.convolve, so they may differ in the last bits.
+_BITWISE = {"r4", "r2", "r0", "even_spread", "odd_spread", "pair_symmetric_spread"}
+
+
+def _assert_matches_reference(got, want, key=""):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for name in want:
+            _assert_matches_reference(got[name], want[name], name)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_matches_reference(g, w, key)
+    elif isinstance(want, float) and key not in _BITWISE:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (key, got, want)
+    else:
+        assert got == want, (key, got, want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_records_match_the_scalar_reference(seed):
+    # 4 x 500 instances: verdicts, failure lists, counts, the summary and the
+    # rank test are identical to the one-at-a-time verifier; r4, r2, r0 and
+    # the spreads are bitwise equal, and every other float within 1e-13.
+    got = run_verify(seed, 500)
+    want = verify_reference(seed, 500)
+    assert got["summary"] == want["summary"]
+    assert got["rank_test"] == want["rank_test"]
+    _assert_matches_reference(got["instances"], want["instances"])
+
+
+def _without_wall_time(report: dict) -> dict:
+    report["meta"].pop("wall_time_s")
+    return report
+
+
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    monkeypatch.setattr(verify, "CHUNK", 7)
+    small = _without_wall_time(run_verify(29, 60))
+    monkeypatch.setattr(verify, "CHUNK", 1000)
+    assert small == _without_wall_time(run_verify(29, 60))
+
+
+def test_skip_rate_gate_fails_on_two_degenerate_samples(monkeypatch):
+    # Two of 100 instances degenerate, one on each side of a chunk boundary:
+    # both are skipped, the 2% skip rate fails the batch, and every other
+    # record is the one an unpatched run gives.
+    clean = run_verify(31, 100)
+    monkeypatch.setattr(verify, "CHUNK", 50)
+    sample = verify.random_instance
+    monkeypatch.setattr(
+        verify, "random_instance",
+        lambda seed, index: (1 + 0j,) * 5 if index in (49, 50) else sample(seed, index),
+    )
+    report = run_verify(31, 100)
+    summary = report["summary"]
+    assert summary["skipped"] == [49, 50]
+    assert summary["skip_rate"] == 0.02
+    assert summary["ok"] is False
+    assert [r["skipped_degenerate"] for r in report["instances"][49:51]] == [True, True]
+    kept = [r for r in report["instances"] if r["index"] not in (49, 50)]
+    assert kept == [r for r in clean["instances"] if r["index"] not in (49, 50)]
+
+
+@pytest.mark.parametrize("seed, index", [
+    (2641972118475640975, 69),  # pair product of c moved 2.4e-7 by rounding
+    (4083610734272381841, 77),  # odd c (12.8 against S^5 = 2.3e11) moved 2.7e-6
+    (2456365871523751145, 94),  # product values near 1e-5, two of them 2.2e-7 apart
+    (8827832592407865662, 28),  # product values near 1e-4, two of them 9.4e-7 apart
+])
+def test_sampled_instances_near_the_loci_pass(seed, index):
+    # Absolute 1e-7 gates rejected these sampled instances (one in about
+    # 450,000): two on two-valuedness, where c is small against S^5 and the
+    # fit's rounding of order eps * S^5 read as a spread; two on the
+    # product-value count, whose values lie below 1.
+    record = verify_instance(random_instance(seed, index))
+    assert record["passed"], record["failures"]
+    assert record["principal"]["s5_value_count"] == 10
