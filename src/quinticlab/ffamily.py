@@ -196,18 +196,16 @@ def orbit_check(evals: np.ndarray, family: np.ndarray, tol: float = DEDUP_TOL) -
     return centers, errors
 
 
-def a5_orbits(roots, degenerate, tol: float = DEDUP_TOL) -> tuple:
+def a5_orbits(roots, tol: float = DEDUP_TOL) -> tuple:
     """:func:`a5_orbit` of each tuple of an (N, 5) stack, as arrays.
 
     One kernel call of the 60 even rows gives every orbit and, the family
     patterns being even, every family.  Returns the families (N, 6), the
-    orbit values (N, 12), and per tuple None or its error (None where its
-    ``is_degenerate`` verdict in ``degenerate`` is true: not checked).
+    orbit values (N, 12), and per tuple None or its error.
     """
     evals = eval_f_rows(roots, S5_IMAGES[A5_IN_S5])
     family = evals[:, _FAMILY_IN_A5]
-    centers, errors = orbit_check(evals, family, tol)
-    return family, centers, [None if d else e for d, e in zip(degenerate, errors)]
+    return family, *orbit_check(evals, family, tol)
 
 
 def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
@@ -216,23 +214,22 @@ def a5_orbit(roots, tol: float = DEDUP_TOL) -> OrbitReport:
     Generic input yields exactly 12 values closing under negation into 6
     pairs, each matching one signed family member.  Near-degenerate input
     (by the |sqrt disc| floor) is reported with ``degenerate=True`` and no
-    values.  This is :func:`a5_orbits` of one tuple.
+    values, before any gate.  Otherwise this is :func:`a5_orbits` of one tuple.
     """
     rt = as_root_tuple(roots)
-    degenerate = is_degenerate(rt)
-    family, centers, (error,) = a5_orbits([rt], [degenerate], tol)
+    family, centers, (error,) = a5_orbits([rt], tol)
+    if is_degenerate(rt):
+        return OrbitReport((), (), (), True, FFamily.from_row(family[0]))
     if error:
         raise error
-    if degenerate:
-        return OrbitReport((), (), (), True, FFamily.from_row(family[0]))
     values = tuple(complex(z) for z in centers[0])
     return OrbitReport(values, _PAIR_MAP, _FAMILY_MATCH, False, FFamily.from_row(family[0]))
 
 
-def relation_rank(samples: Sequence[FFamily], rank_tol: float = RANK_TOL) -> RelationReport:
-    """Numerical rank of the N x 6 matrix of (f, f_0..f_4) sample rows.
+def relation_rank(samples, rank_tol: float = RANK_TOL) -> RelationReport:
+    """Numerical rank of the (N, 6) array of (f, f_0..f_4) sample rows.
 
-    Needs at least 10 samples.  Rank counts singular values above
+    Needs at least 10 rows.  Rank counts singular values above
     ``rank_tol * sigma_1``; one thin SVD gives them in memory linear in N.
     For exact family rows the rank is 3: with phi = (1 + sqrt 5) / 2 the rows
     satisfy
@@ -243,8 +240,7 @@ def relation_rank(samples: Sequence[FFamily], rank_tol: float = RANK_TOL) -> Rel
     """
     if len(samples) < 10:
         raise InvalidInputError(f"need at least 10 samples, got {len(samples)}")
-    matrix = np.array([s.values() for s in samples], dtype=complex)
-    _, singular, _ = np.linalg.svd(matrix, full_matrices=False)
+    _, singular, _ = np.linalg.svd(np.asarray(samples, dtype=complex), full_matrices=False)
     top = float(singular[0])
     rank = int(np.sum(singular > rank_tol * top)) if top > 0.0 else 0
     return RelationReport(

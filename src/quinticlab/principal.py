@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import DEDUP_TOL, class_gate, first_occurrence
-from .errors import DegenerateInstanceError, InvalidInputError, VerificationFailureError
+from .errors import DegenerateInstanceError, InvalidInputError
 from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, family_sweep
 from .polynomials import as_root_tuple, expand_roots, is_degenerate, power_sums
 
@@ -41,12 +41,7 @@ __all__ = [
     "power_sum_check",
     "power_sum_rows",
     "newton_gap_rows",
-    "SUPPRESSED_TOL",
 ]
-
-# Relative magnitude above which the structurally-zero quintic coefficients
-# are treated as a failed verification rather than rounding noise.
-SUPPRESSED_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,8 @@ def quintic_rows(values: np.ndarray) -> tuple:
     """:func:`phi_quintic` of each row of five product values, shape (N, 5).
 
     Returns the coefficients c4..c0 (N, 5), the relative magnitudes of c4 and
-    c2, and per row None or the error that rejects it.
+    c2, and per row None or the error of non-finite coefficients.  How small
+    the magnitudes must be is ``verify.CRITERIA``'s to say.
     """
     coeffs = np.stack(expand_roots(values.T), axis=1)
     scales = _coeff_scales(values)
@@ -160,21 +156,15 @@ def quintic_rows(values: np.ndarray) -> tuple:
     errors = [None] * len(values)
     for i in np.flatnonzero(~np.isfinite(coeffs).all(axis=1)):
         errors[i] = InvalidInputError("polynomial coefficients must be finite")
-    for i in np.flatnonzero((c4_mag > SUPPRESSED_TOL) | (c2_mag > SUPPRESSED_TOL)):
-        errors[i] = errors[i] or VerificationFailureError(
-            f"z^4 and z^2 coefficients failed to vanish: "
-            f"|c4| = {c4_mag[i]:.3e}, |c2| = {c2_mag[i]:.3e} relative"
-        )
     return coeffs, (c4_mag, c2_mag), errors
 
 
 def phi_quintic(pf: PhiFamily) -> PrincipalQuintic:
-    """Monic quintic through the five values, checked for principal form.
+    """Monic quintic through the five values, read as principal form.
 
-    Records the relative magnitudes of the z^4 and z^2 coefficients and fails
-    (raises :class:`VerificationFailureError`) when either exceeds
-    ``SUPPRESSED_TOL``; otherwise returns p, q, r of z^5 + p z^3 + q z + r.
-    This is :func:`quintic_rows` of one row.
+    Returns p, q, r of z^5 + p z^3 + q z + r with the z^4 and z^2
+    coefficients and their relative magnitudes, which vanish for product
+    values; the caller judges them.  This is :func:`quintic_rows` of one row.
     """
     coeffs, (c4_mag, c2_mag), (error,) = quintic_rows(np.array([pf.values], dtype=complex))
     if error:

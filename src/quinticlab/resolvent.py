@@ -60,9 +60,6 @@ class FitResiduals:
     r2: float
     r0: float
 
-    def worst(self) -> float:
-        return max(self.r4, self.r2, self.r0)
-
 
 @dataclass(frozen=True)
 class ResolventCoeffs:

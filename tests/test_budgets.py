@@ -16,7 +16,7 @@ import numpy as np
 
 import quinticlab
 from quinticlab import f_family, poly_from_roots, random_instance, relation_rank, run_verify
-from quinticlab import clustering, kernels, polynomials, resolvent
+from quinticlab import clustering, instances, kernels, polynomials, resolvent
 from quinticlab.cli import main
 from quinticlab.instances import complex_to_pair
 
@@ -102,12 +102,25 @@ def test_batch_orbit_work_per_instance(monkeypatch, capsys):
     assert clusterings == []
 
 
+def test_sampled_tuples_are_screened_once(monkeypatch, capsys):
+    # random_instance rejects every tuple that is_degenerate flags, so no
+    # batch path screens a sampled tuple again.
+    original = polynomials.is_degenerate
+    screens = _tally_calls(monkeypatch, original)
+    monkeypatch.setattr(instances, "is_degenerate", original)  # the sampler's own screen
+
+    assert run_verify(1, 50)["summary"]["ok"]
+    assert main(["orbit", "--seed", "5", "--n", "16", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert screens == []
+
+
 def test_relation_rank_memory_is_linear_in_rows():
     # The N x 6 complex128 sample matrix, a thin U of the same size and the
     # SVD workspace fit in 8 matrices.  A full N x N unitary (256 MB at
     # N = 4,000) or a scan of a coefficient grid cannot.
     n = 4000
-    samples = [f_family(random_instance(61, i)) for i in range(n)]
+    samples = np.array([f_family(random_instance(61, i)).values() for i in range(n)])
     budget = 8 * n * 6 * np.dtype(np.complex128).itemsize
 
     tracemalloc.start()

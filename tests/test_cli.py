@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from quinticlab import cli
 from quinticlab.cli import main
+from quinticlab.principal import PhiFamily
 from quinticlab.instances import complex_to_pair, random_instance
 from quinticlab.polynomials import MonicPoly, find_roots, poly_from_roots
 
@@ -36,6 +38,10 @@ class TestResolve:
 
     def test_no_source_exit_2(self):
         assert main(["resolve"]) == 2
+
+    def test_counting_tolerance_is_not_an_option(self):
+        # resolve counts no values, so it takes no --dedup-tol.
+        assert main(["resolve", "--seed", "42", "--dedup-tol", "1e-7"]) == 2
 
     def test_two_sources_exit_2(self, tmp_path):
         path = tmp_path / "roots.json"
@@ -154,6 +160,18 @@ class TestOrbit:
         path.write_text(json.dumps({"roots": [[1.0, 0.0]] * 5}), encoding="utf-8")
         assert main(["orbit", "--roots", str(path)]) == 3
 
+    def test_batch_tolerance_counts_the_rank(self, capsys):
+        # --tol is the rank tolerance of verify's rank test: between
+        # sigma3/sigma1 and sigma2/sigma1 the rank counts 2 and the batch
+        # fails, although sigma4/sigma1 is far below it.
+        _, payload = run_json(capsys, "orbit", "--seed", "1", "--n", "50")
+        s = payload["batch"]["singular_values"]
+        t = (s[1] + s[2]) / 2 / s[0]
+        code, payload = run_json(capsys, "orbit", "--seed", "1", "--n", "50", "--tol", repr(t))
+        assert payload["batch"]["rank"] == 2
+        assert payload["batch"]["ratio_s4_s1"] < t
+        assert (code, payload["ok"]) == (4, False)
+
 
 class TestBrioschi:
     def test_generic_instance(self, capsys):
@@ -170,6 +188,24 @@ class TestBrioschi:
         path = tmp_path / "degen.json"
         path.write_text(json.dumps({"roots": [[0.5, 0.5]] * 5}), encoding="utf-8")
         assert main(["brioschi", "--roots", str(path)]) == 3
+
+    def test_tolerance_above_1e_5_decides(self, monkeypatch, capsys):
+        # One product value moved by 1e-4 of max|Phi| puts c4 and p1 near
+        # 1e-4: --tol 1e-3 passes them, and the default 1e-6 fails them with
+        # the report printed.  No tighter gate may pre-empt --tol.
+        real = cli.phi_values
+
+        def moved(roots, tol):
+            values = real(roots, tol).values
+            shift = 1e-4 * max(1.0, max(abs(v) for v in values))
+            return PhiFamily((values[0] + shift, *values[1:]), 10)
+
+        monkeypatch.setattr(cli, "phi_values", moved)
+        code, payload = run_json(capsys, "brioschi", "--seed", "42", "--tol", "1e-3")
+        assert 1e-5 < payload["suppressed"]["c4_mag"] < 1e-3
+        assert (code, payload["ok"]) == (0, True)
+        code, payload = run_json(capsys, "brioschi", "--seed", "42")
+        assert (code, payload["ok"]) == (4, False)
 
 
 @pytest.mark.parametrize("scale", [0.06, 0.03])

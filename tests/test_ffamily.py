@@ -11,7 +11,7 @@ from quinticlab import (
     relation_rank,
 )
 from quinticlab.clustering import cluster_values
-from quinticlab.ffamily import FFamily, FAMILY_PATTERNS
+from quinticlab.ffamily import FAMILY_PATTERNS
 from quinticlab.instances import random_instance
 
 from oracles import (
@@ -158,7 +158,8 @@ class TestOrbit:
 
 @pytest.fixture(scope="module")
 def samples():
-    return [f_family(random_instance(31, i)) for i in range(50)]
+    """Family rows (f, f_0, ..., f_4) of 50 instances, shape (50, 6)."""
+    return np.array([f_family(random_instance(31, i)).values() for i in range(50)])
 
 
 class TestFamilyLabels:
@@ -199,11 +200,10 @@ class TestRelationRank:
         assert ratio < 1e-6
 
     def test_null_basis_annihilates_rows(self, samples):
-        matrix = np.array([s.values() for s in samples])
         for vec in null_basis(samples):
             v = np.array(vec)
-            errs = np.abs(matrix @ v) / (
-                np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
+            errs = np.abs(samples @ v) / (
+                np.linalg.norm(samples, axis=1) * np.linalg.norm(v)
             )
             assert float(errs.max()) < 1e-9
 
@@ -218,13 +218,12 @@ class TestRelationRank:
         assert near_golden.any()
 
     def test_duplicated_sample_gives_rank_one(self, samples):
-        report = relation_rank([samples[0]] * 10)
-        assert report.rank == 1
-        assert null_basis([samples[0]] * 10) is None
+        duplicated = np.repeat(samples[:1], 10, axis=0)
+        assert relation_rank(duplicated).rank == 1
+        assert null_basis(duplicated) is None
 
     def test_all_zero_samples_give_rank_zero(self):
-        zero = FFamily(f=0j, fk=(0j, 0j, 0j, 0j, 0j))
-        report = relation_rank([zero] * 10)
+        report = relation_rank(np.zeros((10, 6), dtype=complex))
         assert report.rank == 0
 
     def test_too_few_samples(self, samples):
@@ -241,7 +240,7 @@ class TestRelationRank:
         u, _ = np.linalg.qr(rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
         v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         matrix = u @ np.diag(sigma) @ v.conj().T
-        report = relation_rank([FFamily.from_row(row) for row in matrix])
+        report = relation_rank(matrix)
         assert report.rank == 3
         assert report.ratio_s4_s1 == pytest.approx(2.5e-7, rel=1e-8)
         assert report.singular_values == pytest.approx(tuple(sigma), rel=1e-6, abs=1e-15)

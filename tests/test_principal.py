@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from quinticlab import (
     DegenerateInstanceError,
-    VerificationFailureError,
+    cli,
     f_family,
     find_roots,
     phi_quintic,
@@ -94,10 +96,18 @@ class TestPhiQuintic:
         assert quintic.suppressed.c2_mag == 0.0
         assert (quintic.p, quintic.q, quintic.r) == (3, -4, 0)
 
-    def test_arbitrary_values_fail_verification(self):
+    def test_arbitrary_values_fail_verification(self, monkeypatch, capsys):
+        # phi_quintic measures and does not judge: on values that are no
+        # product values it returns c4 = -15, relative magnitude 15 / 5, and
+        # brioschi prints its report with ok false and exits 4.
         pf = PhiFamily(values=(1, 2, 3, 4, 5), s5_value_count=10)
-        with pytest.raises(VerificationFailureError):
-            phi_quintic(pf)
+        assert phi_quintic(pf).suppressed.c4_mag == 3.0
+        monkeypatch.setattr(cli, "phi_values", lambda roots, tol: pf)
+        code = cli.main(["brioschi", "--seed", "42", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert payload["ok"] is False
+        assert payload["suppressed"]["c4_mag"] == 3.0
 
 
 class TestPowerSums:

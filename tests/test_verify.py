@@ -1,7 +1,12 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quinticlab import verify
+from quinticlab.cli import main
 from quinticlab.ffamily import S5_PARITY, family_sweep
 from quinticlab.instances import random_instance
 from quinticlab.verify import SPREAD_TOL, run_verify, verify_instance, verify_sweep
@@ -151,10 +156,12 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch):
     assert small == _without_wall_time(run_verify(29, 60))
 
 
-def test_skip_rate_gate_fails_on_two_degenerate_samples(monkeypatch):
-    # Two of 100 instances degenerate, one on each side of a chunk boundary:
-    # both are skipped, the 2% skip rate fails the batch, and every other
-    # record is the one an unpatched run gives.
+def test_degenerate_samples_fail_unscreened(monkeypatch):
+    # random_instance rejects every tuple that is_degenerate flags, so
+    # run_verify does not screen sampled tuples again.  A sampler that
+    # returned two degenerate tuples, one on each side of a chunk boundary,
+    # fails both instances; every other record is the one an unpatched run
+    # gives.
     clean = run_verify(31, 100)
     monkeypatch.setattr(verify, "CHUNK", 50)
     sample = verify.random_instance
@@ -164,12 +171,153 @@ def test_skip_rate_gate_fails_on_two_degenerate_samples(monkeypatch):
     )
     report = run_verify(31, 100)
     summary = report["summary"]
-    assert summary["skipped"] == [49, 50]
-    assert summary["skip_rate"] == 0.02
+    assert summary["failed"] == [49, 50]
+    assert (summary["skipped"], summary["skip_rate"]) == ([], 0.0)
     assert summary["ok"] is False
-    assert [r["skipped_degenerate"] for r in report["instances"][49:51]] == [True, True]
+    assert [r["passed"] for r in report["instances"][49:51]] == [False, False]
+    assert [r["skipped_degenerate"] for r in report["instances"][49:51]] == [False, False]
     kept = [r for r in report["instances"] if r["index"] not in (49, 50)]
     assert kept == [r for r in clean["instances"] if r["index"] not in (49, 50)]
+
+
+def test_tolerances_are_the_table_the_readme_states():
+    # Each CRITERIA row and each default tolerance appears in the README's
+    # table of acceptance criteria, and the report states the same values in
+    # the same key order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Acceptance criteria", 1)[1].split("\n## ", 1)[0]
+    stated, defaults = [], {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        match = re.fullmatch(r"`(\w+)` \(([-+.\de]+)\)", cells[2]) if len(cells) == 4 else None
+        if match:
+            key, value = match[1], float(match[2])
+            assert defaults.setdefault(key, value) == value, key
+            section = cells[0].strip("`")
+            if section not in ("rank_test", "counts"):
+                stated.append((section, tuple(re.findall(r"`(\w+)`", cells[1])), key, cells[3]))
+    assert tuple(stated) == verify.CRITERIA
+    assert defaults == verify.TOLERANCES
+    assert list(run_verify(23, 3)["meta"]["tolerances"].items()) == [
+        ("dedup", 1e-7), ("residual", 1e-6), ("rank", 1e-6), ("spread", 1e-7),
+        ("newton_bridge", 1e-10),
+    ]
+
+
+@pytest.mark.parametrize("row", range(len(verify.CRITERIA)))
+def test_each_criterion_fails_alone_below_its_worst(row, monkeypatch):
+    # Give one row a tolerance of its own, half the batch's worst measured
+    # value: the batch fails with that row's message and no other.  A row
+    # that no input can fail would pass here.
+    section, fields, _, failure = verify.CRITERIA[row]
+    clean = run_verify(5, 50)
+    worst = max(r[section][f] for r in clean["instances"] for f in fields)
+    assert worst > 0.0
+    table = list(verify.CRITERIA)
+    table[row] = (section, fields, "probe", failure)
+    monkeypatch.setattr(verify, "CRITERIA", tuple(table))
+    monkeypatch.setitem(verify.TOLERANCES, "probe", worst / 2)
+    report = run_verify(5, 50)
+    assert report["summary"]["ok"] is False
+    assert report["summary"]["failed"]
+    assert report["summary"]["batch_failures"] == []
+    assert {f for r in report["instances"] for f in r["failures"]} == {failure}
+
+
+def _nan_form_residual(k):
+    real = verify.resolvent_form_residual
+
+    def doctored(F, a, b, c):
+        out = real(F, a, b, c)
+        out[k] = np.nan
+        return out
+
+    return doctored
+
+
+def _nan_even_spread(k):
+    real = verify.two_valuedness_rows
+
+    def doctored(sweeps):
+        fit, (even, odd, sym), errors = real(sweeps)
+        even = even.copy()
+        even[k] = np.nan
+        return fit, (even, odd, sym), errors
+
+    return doctored
+
+
+@pytest.mark.parametrize("name, doctor, failure", [
+    ("resolvent_form_residual", _nan_form_residual, "fit: orbit values do not satisfy the form"),
+    ("two_valuedness_rows", _nan_even_spread, "two-valuedness: spreads above tolerance"),
+])
+def test_nan_measurement_fails_its_instance(name, doctor, failure, monkeypatch):
+    # A measurement that is NaN is not below its tolerance: the instance
+    # fails on that criterion alone, and its neighbours do not change.
+    roots, sweeps, k, _ = _doctored_stack()
+    clean = verify_sweep(roots, sweeps)
+    monkeypatch.setattr(verify, name, doctor(k))
+    records = verify_sweep(roots, sweeps)
+    assert records[k]["passed"] is False
+    assert records[k]["failures"] == [failure]
+    assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
+
+
+def test_suppressed_coefficients_above_1e_5_fill_the_record(monkeypatch):
+    # One product value moved by 1e-4 of max|Phi| moves c4 and p1 by as
+    # much: the record keeps every principal field and fails on both rows.
+    # No tighter gate may raise first and leave the fields null.
+    roots, sweeps, k, _ = _doctored_stack()
+    real = verify.product_values
+
+    def moved(sweeps, tol):
+        values, errors = real(sweeps, tol)
+        values[k, 0] += 1e-4 * max(1.0, np.abs(values[k]).max())
+        return values, errors
+
+    monkeypatch.setattr(verify, "product_values", moved)
+    record = verify_sweep(roots, sweeps)[k]
+    assert None not in record["principal"].values()
+    assert record["principal"]["c4_mag"] > 1e-5
+    assert record["failures"] == ["principal: suppressed coefficients above tolerance",
+                                  "principal: power sums above tolerance"]
+
+
+def _json_main(capsys, *argv):
+    code = main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_subcommands_agree_with_the_record_at_any_tolerance(index, monkeypatch, capsys):
+    # resolve --tol t and brioschi --tol t decide the criteria they share
+    # with verify as the verify record does at the same tolerance, just
+    # below and just above each measured value.
+    roots = random_instance(37, index)
+    record = verify_instance(roots)
+    rows = {fields: (section, failure) for section, fields, _, failure in verify.CRITERIA}
+    shared = {  # subcommand: the tolerance its --tol sets, and the rows it decides
+        "resolve": ("residual", [("r4", "r2", "r0")]),
+        "brioschi": ("spread", [("c4_mag", "c2_mag"), ("p1", "p3")]),
+    }
+    verdicts = set()
+    for command, (tolerance, decided) in shared.items():
+        failures = {rows[fields][1] for fields in decided}
+        for section, field in ((rows[fields][0], f) for fields in decided for f in fields):
+            value = record[section][field]
+            for t in (np.nextafter(value, 0.0), np.nextafter(value, np.inf)):
+                code, payload = _json_main(
+                    capsys, command, "--seed", "37", "--index", str(index), "--tol", repr(float(t)))
+                reported = {**payload.get("residuals", {}), **payload.get("suppressed", {}),
+                            **payload.get("power_sums", {})}
+                assert reported[field] == value
+                monkeypatch.setitem(verify.TOLERANCES, tolerance, t)
+                judged = verify_instance(roots, tol_residual=verify.TOLERANCES["residual"])
+                monkeypatch.undo()
+                passed = not failures & set(judged["failures"])
+                assert (payload["ok"], code) == (passed, 0 if passed else 4), (command, field, t)
+                verdicts.add(passed)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed, index", [
