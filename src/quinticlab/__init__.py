@@ -20,7 +20,6 @@ from .errors import (
     InvalidInputError,
     NumericFailureError,
     QuinticLabError,
-    VerificationFailureError,
 )
 from .ffamily import (
     FFamily,
@@ -65,7 +64,6 @@ __all__ = [
     "InvalidInputError",
     "DegenerateInstanceError",
     "NumericFailureError",
-    "VerificationFailureError",
     # polynomials
     "MonicPoly",
     "poly_from_roots",

@@ -183,26 +183,25 @@ def _render_text(payload: dict) -> str:
 
 
 def _emit(payload: dict, args) -> None:
-    doc = json.dumps(payload, indent=2, sort_keys=False)
+    doc = json.dumps(payload) + "\n"  # compact: with indent, json encodes in pure Python
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+            fh.write(doc)
     if args.format == "json":
-        sys.stdout.write(doc + "\n")
+        sys.stdout.write(doc)
+    elif payload.get("command") == "verify":
+        summary = payload["summary"]
+        lines = [
+            f"verify seed={payload['meta']['seed']} n={payload['meta']['n']}",
+            f"passed: {summary['passed']}  failed: {len(summary['failed'])}"
+            f"  skipped: {len(summary['skipped'])}",
+            f"rank: {payload['rank_test']['rank']}"
+            f"  sigma4/sigma1: {payload['rank_test']['ratio_s4_s1']}",
+            f"ok: {summary['ok']}",
+        ]
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
-        if payload.get("command") == "verify":
-            summary = payload["summary"]
-            lines = [
-                f"verify seed={payload['meta']['seed']} n={payload['meta']['n']}",
-                f"passed: {summary['passed']}  failed: {len(summary['failed'])}"
-                f"  skipped: {len(summary['skipped'])}",
-                f"rank: {payload['rank_test']['rank']}"
-                f"  sigma4/sigma1: {payload['rank_test']['ratio_s4_s1']}",
-                f"ok: {summary['ok']}",
-            ]
-            sys.stdout.write("\n".join(lines) + "\n")
-        else:
-            sys.stdout.write(_render_text(payload) + "\n")
+        sys.stdout.write(_render_text(payload) + "\n")
 
 
 def _add_source_args(sp) -> None:

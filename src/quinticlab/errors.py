@@ -19,7 +19,3 @@ class NumericFailureError(QuinticLabError):
     def __init__(self, message: str, worst_residual: float | None = None):
         super().__init__(message)
         self.worst_residual = worst_residual
-
-
-class VerificationFailureError(QuinticLabError):
-    """A structural identity failed to hold within its acceptance tolerance."""

@@ -7,7 +7,8 @@ uniform.  Roots are drawn uniformly (by area) from the annulus
 and rejecting degenerate tuples (:func:`~quinticlab.polynomials.is_degenerate`),
 so every generated instance is one that the checks do not skip.
 The per-instance stream is derived from (seed, index) alone, so identical
-arguments give bitwise-identical tuples regardless of scheduling.
+arguments give bitwise-identical tuples regardless of scheduling and of how
+many indices are sampled together.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .polynomials import MonicPoly, as_root_tuple, find_roots, is_degenerate
 
 __all__ = [
     "random_instance",
+    "random_instances",
     "InstanceSpec",
     "load_instance_file",
     "complex_to_pair",
@@ -36,27 +38,34 @@ _R2_LO = 0.25  # 0.5**2
 _R2_HI = 2.25  # 1.5**2
 
 
-def random_instance(seed: int, index: int) -> tuple[complex, ...]:
-    """Five annulus roots with pairwise separation >= 1e-2, from (seed, index).
-
-    Draws that :func:`is_degenerate` flags are rejected like close pairs.
-    """
+def random_instances(seed: int, start: int, stop: int) -> np.ndarray:
+    """The tuples (seed, start..stop-1) as the rows of an (N, 5) array.  Each
+    index draws from its own (seed, index) generator; the draws are tested together
+    and only rejected indices draw again.  Every test is elementwise, so row i is
+    bitwise ``random_instance(seed, start + i)``."""
     if seed < 0 or seed >= 2**64:
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
-    if index < 0:
+    if start < 0:
         raise InvalidInputError("index must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+            for index in range(start, stop)]
+    roots = np.empty((len(rngs), 5), dtype=complex)
+    todo = np.arange(len(rngs))
     for _ in range(_MAX_DRAWS):
-        radius = np.sqrt(rng.uniform(_R2_LO, _R2_HI, size=5))
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=5)
-        roots = radius * np.exp(1j * theta)
-        gaps = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if float(gaps.min()) >= SEPARATION_MIN:
-            rt = tuple(complex(z) for z in roots)
-            if not is_degenerate(rt):
-                return rt
+        if not todo.size:
+            return roots
+        draws = np.array([(rngs[i].uniform(_R2_LO, _R2_HI, size=5),
+                           rngs[i].uniform(0.0, 2.0 * np.pi, size=5)) for i in todo.tolist()])
+        roots[todo] = drawn = np.sqrt(draws[:, 0]) * np.exp(1j * draws[:, 1])
+        gaps = np.abs(drawn[:, :, None] - drawn[:, None, :])[:, ~np.eye(5, dtype=bool)]
+        todo = todo[(gaps.min(axis=1) < SEPARATION_MIN) | is_degenerate(drawn)]
     raise RuntimeError("annulus rejection sampling failed to terminate")
+
+
+def random_instance(seed: int, index: int) -> tuple[complex, ...]:
+    """Five annulus roots with pairwise separation >= 1e-2, from (seed, index),
+    that :func:`is_degenerate` does not flag: :func:`random_instances` of one index."""
+    return tuple(random_instances(seed, index, index + 1)[0].tolist())
 
 
 def complex_to_pair(z: complex) -> list[float]:

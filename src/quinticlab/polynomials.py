@@ -159,6 +159,17 @@ def power_sums(values, k_max: int) -> list:
     return out
 
 
+def _disc_parts(re, im) -> tuple:
+    """(real, imag) of prod over i<j of (x_i - x_j), in Python's complex-product
+    arithmetic, from root i's parts ``re[i]``, ``im[i]``: floats or arrays."""
+    out_re, out_im = 1.0, 0.0
+    for i in range(5):
+        for j in range(i + 1, 5):
+            d_re, d_im = re[i] - re[j], im[i] - im[j]
+            out_re, out_im = out_re * d_re - out_im * d_im, out_re * d_im + out_im * d_re
+    return out_re, out_im
+
+
 def sqrt_discriminant(roots: Sequence[complex]) -> complex:
     """Signed square root of the discriminant: prod over i<j of (x_i - x_j).
 
@@ -166,15 +177,16 @@ def sqrt_discriminant(roots: Sequence[complex]) -> complex:
     relabeling negates the value, an even one preserves it.
     """
     rt = as_root_tuple(roots)
-    out = 1.0 + 0j
-    for i in range(5):
-        for j in range(i + 1, 5):
-            out *= rt[i] - rt[j]
-    return out
+    return complex(*_disc_parts([z.real for z in rt], [z.imag for z in rt]))
 
 
-def is_degenerate(roots: Sequence[complex]) -> bool:
-    """True when the tuple has (near-)repeated roots by the |sqrt disc| floor."""
-    rt = as_root_tuple(roots)
-    scale = max(1.0, max(abs(r) for r in rt))
-    return abs(sqrt_discriminant(rt)) < DEGENERACY_FLOOR * scale**10
+def is_degenerate(roots) -> bool | np.ndarray:
+    """True when the tuple has (near-)repeated roots by the |sqrt disc| floor.
+    An (N, 5) array gives each tuple its own verdict: ``numpy.hypot`` is the libm
+    hypot behind Python's complex ``abs``, and the tenth powers are Python's."""
+    if not (isinstance(roots, np.ndarray) and roots.ndim == 2):
+        rt = as_root_tuple(roots)
+        return abs(sqrt_discriminant(rt)) < DEGENERACY_FLOOR * max(1.0, *map(abs, rt)) ** 10
+    disc_re, disc_im = _disc_parts(roots.real.T, roots.imag.T)
+    scale = np.maximum(1.0, np.hypot(roots.real, roots.imag).max(axis=1)).tolist()
+    return np.hypot(disc_re, disc_im) < DEGENERACY_FLOOR * np.array([s**10 for s in scale])

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .clustering import DEDUP_TOL
+from .errors import InvalidInputError
 from .ffamily import A5_IN_S5, RANK_TOL, family_sweep, orbit_check, relation_rank
-from .instances import complex_to_pair, random_instance
+from .instances import complex_to_pair, random_instances
 from .polynomials import is_degenerate
 from .principal import newton_gap_rows, power_sum_rows, product_values, quintic_rows
 from .resolvent import resolvent_form_residual, square_gap, two_valuedness_rows
@@ -87,14 +88,15 @@ def rank_test(rows: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[dict, list[
     the batch failures it gives.
 
     The rank counts singular values above ``rank_tol * sigma_1``; it must be
-    3, and sigma_4/sigma_1 below ``rank_tol``.  With fewer than 10 rows the
-    test does not run and the section says why.
+    3, and sigma_4/sigma_1 below ``rank_tol``.  When :func:`relation_rank`
+    rejects the rows as too few, the test does not run and the section says why.
     """
     section = dict.fromkeys(("rank", "singular_values", "ratio_s4_s1", "skipped_reason"))
-    if len(rows) < 10:
+    try:
+        rel = relation_rank(rows, rank_tol)
+    except InvalidInputError:
         section["skipped_reason"] = "fewer than 10 usable instances"
         return section, []
-    rel = relation_rank(rows, rank_tol)
     section.update(rank=rel.rank, singular_values=list(rel.singular_values),
                    ratio_s4_s1=rel.ratio_s4_s1)
     if rel.rank != 3:
@@ -104,9 +106,9 @@ def rank_test(rows: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[dict, list[
     return section, []
 
 
-def _empty_record(roots, skipped: bool = False) -> dict:
+def _empty_record(pairs: list, skipped: bool = False) -> dict:
     return {
-        "roots": [complex_to_pair(z) for z in roots],
+        "roots": pairs,
         "skipped_degenerate": skipped,
         **{section: dict.fromkeys(fields) for section, fields in _SECTIONS.items()},
         "failures": [],
@@ -145,10 +147,11 @@ def verify_sweep(
     rows = [(section, fields[0], failure, failing[failure].tolist())
             for section, fields, _, failure in CRITERIA]
 
-    records = []
+    z = np.asarray(roots, dtype=complex)
+    records, pairs = [], np.stack([z.real, z.imag], axis=-1).tolist()  # [re, im] per root
     for i, values in enumerate(zip(*(col.tolist() for col in columns))):
         r4, r2, r0, gap, form, even, odd, sym, c4, c2, p1, p3, p2, gap4, gap2 = values
-        record = _empty_record(roots[i])
+        record = _empty_record(pairs[i])
         if not orbit_errors[i]:
             record["orbit"].update(count=12, pairing_ok=True, family_match_ok=True)
         # The fit is row 0 of two-valuedness's 120-row fit, so a failure of that
@@ -184,16 +187,16 @@ def verify_sweep(
 def verify_instance(roots, tol_residual: float = RESIDUAL_TOL, tol_dedup: float = DEDUP_TOL) -> dict:
     """All per-instance checks on one root tuple; returns the record dict."""
     if is_degenerate(roots):
-        return _empty_record(roots, skipped=True)
+        return _empty_record([complex_to_pair(z) for z in roots], skipped=True)
     return verify_sweep([roots], family_sweep(roots)[None], tol_residual, tol_dedup)[0]
 
 
 def sample_chunks(seed: int, n: int):
     """Instances (seed, 0..n-1) in chunks of ``CHUNK``: each chunk's first
-    index and its root tuples.  :func:`random_instance` rejects every tuple
-    that ``is_degenerate`` flags, so no sampled instance is skipped."""
+    index and its (N, 5) array of root tuples.  :func:`random_instances` rejects
+    every tuple that ``is_degenerate`` flags, so no sampled instance is skipped."""
     for lo in range(0, n, CHUNK):
-        yield lo, [random_instance(seed, index) for index in range(lo, min(n, lo + CHUNK))]
+        yield lo, random_instances(seed, lo, min(n, lo + CHUNK))
 
 
 def run_verify(
@@ -210,14 +213,14 @@ def run_verify(
     """
     start = time.perf_counter()
     tolerances = {**TOLERANCES, "dedup": tol_dedup, "residual": tol_residual, "rank": rank_tol}
-    instances, families = [], np.empty((0, 6), dtype=complex)
+    instances, families = [], []
     for lo, chunk in sample_chunks(seed, n):
         sweeps = family_sweep(chunk)
-        families = np.concatenate([families, sweeps[:, 0]])
+        families.append(sweeps[:, 0].copy())  # a view would keep the chunk's sweeps alive
         records = verify_sweep(chunk, sweeps, tol_residual, tol_dedup)
         instances += ({"index": index, **record} for index, record in enumerate(records, lo))
 
-    rank_section, batch_failures = rank_test(families, rank_tol)
+    rank_section, batch_failures = rank_test(np.concatenate(families), rank_tol)
     p2_values = [r["principal"]["p2_magnitude"] for r in instances]
     p2_values = [v for v in p2_values if v is not None]
     p2_fraction = sum(v > P2_CONTROL_FLOOR for v in p2_values) / max(1, len(p2_values))

@@ -25,6 +25,11 @@ classes off constant tables; the tests require both paths to agree.
 ``two_valuedness_from_sweep`` and ``newton_bridge_gaps`` are the package's
 batched checks viewed at one instance, in the scalar form the tests read.
 
+``random_instance_reference`` and ``degenerate_reference`` are the sampler
+and the degeneracy screen as they ran before the sampler tested a chunk of
+indices together: one draw and one tuple at a time, in Python complex
+arithmetic.
+
 ``verify_reference`` is the scalar verifier that the batched one replaced:
 it checks one instance at a time, in Python scalars where it did, and builds
 the same report.  It applies the current rules: count thresholds relative to
@@ -653,6 +658,29 @@ def _scalar_principal(values):
     e3 = (e2 * p1 - p1 * p2 + p3) / 3.0
     return (c4_mag, c2_mag, abs(p1) / s, abs(p3) / s**3, abs(p2) / s**2,
             abs(c4 - (-p1)) / scales[0], abs(c2 - (-e3)) / scales[2])
+
+
+def degenerate_reference(rt) -> bool:
+    """``is_degenerate`` of one tuple, the product in Python complex arithmetic."""
+    disc = 1.0 + 0j
+    for i, j in itertools.combinations(range(5), 2):
+        disc *= rt[i] - rt[j]
+    return abs(disc) < 1e-8 * max(1.0, max(abs(z) for z in rt)) ** 10
+
+
+def random_instance_reference(seed: int, index: int, reject_first: bool = False) -> tuple:
+    """``random_instance(seed, index)``, one draw at a time; with
+    ``reject_first`` the first draw is rejected whatever it is."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
+    for draw in itertools.count():
+        radius = np.sqrt(rng.uniform(0.25, 2.25, size=5))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=5)
+        roots = radius * np.exp(1j * theta)
+        gaps = np.abs(roots[:, None] - roots[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        rt = tuple(complex(z) for z in roots)
+        if (draw or not reject_first) and gaps.min() >= 1e-2 and not degenerate_reference(rt):
+            return rt
 
 
 def _reference_record(roots, skipped: bool) -> dict:

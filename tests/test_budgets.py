@@ -115,6 +115,25 @@ def test_sampled_tuples_are_screened_once(monkeypatch, capsys):
     assert screens == []
 
 
+def test_documents_use_the_c_encoder_once(monkeypatch, tmp_path, capsys):
+    # With ``indent``, json writes through its pure-Python encoder, which cost
+    # more than the checks of a `verify --n 100` call.  Each document is one
+    # C-encoded string: the same bytes on stdout and in --out.
+    python_encoder = []
+    original = json.encoder._make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode",
+                        lambda *args, **kwargs: python_encoder.append(1) or original(*args, **kwargs))
+    out = tmp_path / "report.json"
+
+    assert main(["verify", "--seed", "5", "--n", "20", "--out", str(out), "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["orbit", "--seed", "5", "--n", "16", "--format", "json"]) == 0
+    capsys.readouterr()
+
+    assert python_encoder == []
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
 def test_relation_rank_memory_is_linear_in_rows():
     # The N x 6 complex128 sample matrix, a thin U of the same size and the
     # SVD workspace fit in 8 matrices.  A full N x N unitary (256 MB at

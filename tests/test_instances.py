@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from quinticlab import InstanceSpec, InvalidInputError, load_instance_file, random_instance
-from quinticlab.instances import SEPARATION_MIN, complex_to_pair
+from quinticlab import instances
+from quinticlab.instances import SEPARATION_MIN, complex_to_pair, random_instances
 from quinticlab.polynomials import is_degenerate, poly_from_roots
+
+from oracles import random_instance_reference
+
+# At these (seed, index) pairs the first well-separated draw is one that
+# is_degenerate flags.
+REJECTION_PAIRS = [(2557245980999375963, 24), (7297217133110036595, 51)]
+
+
+def _bits(tuples) -> np.ndarray:
+    return np.asarray(tuples, dtype=complex).view(np.uint64)
 
 
 class TestRandomInstance:
@@ -30,12 +41,9 @@ class TestRandomInstance:
             for j in range(i + 1, 5):
                 assert abs(roots[i] - roots[j]) >= SEPARATION_MIN
 
-    @pytest.mark.parametrize(
-        "seed, index", [(2557245980999375963, 24), (7297217133110036595, 51)]
-    )
+    @pytest.mark.parametrize("seed, index", REJECTION_PAIRS)
     def test_degenerate_draws_are_rejected(self, seed, index):
-        # At these (seed, index) pairs the first well-separated draw is one
-        # that is_degenerate flags; the sampler must move past it.
+        # The sampler must move past the flagged first draw.
         assert not is_degenerate(random_instance(seed, index))
 
     def test_seed_bounds(self):
@@ -45,6 +53,55 @@ class TestRandomInstance:
             random_instance(2**64, 0)
         with pytest.raises(InvalidInputError):
             random_instance(5, -2)
+
+
+class TestChunkSampler:
+    @pytest.mark.parametrize("seed", range(21))
+    def test_rows_are_random_instance_bitwise(self, seed):
+        chunk = random_instances(seed, 0, 2001)
+        assert np.array_equal(_bits(chunk), _bits([random_instance(seed, i) for i in range(2001)]))
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_rows_are_the_scalar_stream(self, seed):
+        want = [random_instance_reference(seed, i) for i in range(300, 500)]
+        assert np.array_equal(_bits(random_instances(seed, 300, 500)), _bits(want))
+
+    @pytest.mark.parametrize("seed, index", REJECTION_PAIRS)
+    def test_rejection_pairs(self, seed, index):
+        chunk = random_instances(seed, 0, 100)
+        want = random_instance_reference(seed, index)
+        assert np.array_equal(_bits(chunk[index]), _bits(want))
+        assert np.array_equal(_bits(chunk[index]), _bits(random_instance(seed, index)))
+
+    def test_forced_rejections_redraw_from_their_own_stream(self, monkeypatch):
+        # Reject the first draw of chosen indices: each of them draws again
+        # from its own generator, and every other row keeps its first
+        # accepted draw.
+        seed, chosen = 11, [0, 3, 4, 250, 999]
+        screen, rounds = instances.is_degenerate, []
+
+        def reject_chosen_first(roots):
+            flags = screen(roots)
+            if not rounds:
+                flags[chosen] = True
+            rounds.append(len(roots))
+            return flags
+
+        monkeypatch.setattr(instances, "is_degenerate", reject_chosen_first)
+        chunk = random_instances(seed, 0, 1000)
+        monkeypatch.undo()
+
+        assert rounds[0] == 1000 and rounds[1] >= len(chosen)
+        want = [random_instance_reference(seed, i, reject_first=i in chosen) for i in range(1000)]
+        assert np.array_equal(_bits(chunk), _bits(want))
+        assert not np.array_equal(_bits(chunk[chosen]), _bits([random_instance(seed, i) for i in chosen]))
+
+    def test_empty_and_invalid_ranges(self):
+        assert random_instances(4, 7, 7).shape == (0, 5)
+        with pytest.raises(InvalidInputError):
+            random_instances(4, -1, 3)
+        with pytest.raises(InvalidInputError):
+            random_instances(2**64, 0, 3)
 
 
 class TestInstanceSpec:

@@ -18,7 +18,12 @@ from quinticlab import (
 )
 from quinticlab.instances import random_instance
 
-from oracles import elementary_symmetric, eval_poly, newton_elementary_from_power_sums
+from oracles import (
+    degenerate_reference,
+    elementary_symmetric,
+    eval_poly,
+    newton_elementary_from_power_sums,
+)
 
 finite_complex = st.builds(
     complex,
@@ -197,6 +202,15 @@ class TestSqrtDiscriminant:
         assert abs(sqrt_discriminant(swapped) - expected) <= 1e-12 * abs(base)
 
 
+def _flip(verdict, near: float, far: float) -> tuple[float, float]:
+    """Adjacent floats between ``near`` and ``far`` where ``verdict`` turns
+    from true (at ``near``) to false."""
+    while math.nextafter(near, far) != far:
+        mid = (near + far) / 2
+        near, far = (mid, far) if verdict(mid) else (near, mid)
+    return near, far
+
+
 class TestDegeneracy:
     def test_equal_roots_are_degenerate(self):
         assert is_degenerate([1, 1, 1, 1, 1])
@@ -206,6 +220,30 @@ class TestDegeneracy:
 
     def test_generic_instance_is_not(self, seeded_roots):
         assert not is_degenerate(seeded_roots)
+
+    def test_stack_verdicts_are_the_tuple_verdicts_at_the_floor(self):
+        # Tuples on either side of the floor, one last bit of one root apart:
+        # close x1 onto x0 until the verdict flips, then move x4 by single
+        # last bits.  |sqrt disc| then sits a few roundings from the floor,
+        # where the rounding of the product, the scale and its tenth power
+        # decides.  An (N, 5) stack must give each tuple's own verdict.
+        rng = np.random.default_rng(5)
+        tuples = []
+        for _ in range(150):
+            x = [complex(z) for z in np.sqrt(rng.uniform(0.25, 2.25, 5))
+                 * np.exp(2j * np.pi * rng.uniform(size=5))]
+            step = complex(np.exp(2j * np.pi * rng.uniform()))
+
+            def moved(eps, delta):
+                return (x[0], x[0] + eps * step, x[2], x[3], x[4] + delta * x[4])
+
+            eps, _ = _flip(lambda e: degenerate_reference(moved(e, 0.0)), 0.0, 1.0)
+            side = 1e-6 if not degenerate_reference(moved(eps, 1e-6)) else -1e-6
+            near, far = _flip(lambda d: degenerate_reference(moved(eps, d)), 0.0, side)
+            tuples += [moved(eps, near), moved(eps, far)]
+        stack = is_degenerate(np.array(tuples))
+        assert stack.tolist() == [True, False] * 150
+        assert stack.tolist() == [is_degenerate(t) for t in tuples]
 
 
 class TestValidation:

@@ -60,8 +60,12 @@ def test_generated_batches_skip_nothing(seed):
 def test_small_batch_skips_rank_test():
     report = run_verify(seed=23, n=3)
     assert report["rank_test"]["rank"] is None
-    assert report["rank_test"]["skipped_reason"] is not None
+    assert report["rank_test"]["skipped_reason"] == "fewer than 10 usable instances"
     assert report["summary"]["ok"] is True
+    # The minimum is relation_rank's: 9 rows skip, 10 run.
+    rows = family_sweep([random_instance(23, i) for i in range(10)])[:, 0]
+    assert verify.rank_test(rows[:9]) == (report["rank_test"], [])
+    assert verify.rank_test(rows)[0]["rank"] == 3
 
 
 def _doctored_stack(k: int = 3, n: int = 8):
@@ -157,18 +161,22 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_degenerate_samples_fail_unscreened(monkeypatch):
-    # random_instance rejects every tuple that is_degenerate flags, so
+    # random_instances rejects every tuple that is_degenerate flags, so
     # run_verify does not screen sampled tuples again.  A sampler that
     # returned two degenerate tuples, one on each side of a chunk boundary,
     # fails both instances; every other record is the one an unpatched run
     # gives.
     clean = run_verify(31, 100)
     monkeypatch.setattr(verify, "CHUNK", 50)
-    sample = verify.random_instance
-    monkeypatch.setattr(
-        verify, "random_instance",
-        lambda seed, index: (1 + 0j,) * 5 if index in (49, 50) else sample(seed, index),
-    )
+    sample = verify.random_instances
+
+    def degenerate_at_49_and_50(seed, start, stop):
+        roots = sample(seed, start, stop)
+        for index in {49, 50} & set(range(start, stop)):
+            roots[index - start] = 1 + 0j
+        return roots
+
+    monkeypatch.setattr(verify, "random_instances", degenerate_at_49_and_50)
     report = run_verify(31, 100)
     summary = report["summary"]
     assert summary["failed"] == [49, 50]
