@@ -7,8 +7,7 @@ uniform.  Roots are drawn uniformly (by area) from the annulus
 and rejecting degenerate tuples (:func:`~quinticlab.polynomials.is_degenerate`),
 so every generated instance is one that the checks do not skip.
 The per-instance stream is derived from (seed, index) alone, so identical
-arguments give bitwise-identical tuples regardless of scheduling and of how
-many indices are sampled together.
+arguments give bitwise-identical tuples however the indices are chunked.
 """
 
 from __future__ import annotations

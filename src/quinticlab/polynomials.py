@@ -159,34 +159,36 @@ def power_sums(values, k_max: int) -> list:
     return out
 
 
-def _disc_parts(re, im) -> tuple:
-    """(real, imag) of prod over i<j of (x_i - x_j), in Python's complex-product
-    arithmetic, from root i's parts ``re[i]``, ``im[i]``: floats or arrays."""
-    out_re, out_im = 1.0, 0.0
+def _root_stack(roots) -> tuple[np.ndarray, bool]:
+    one = not (isinstance(roots, np.ndarray) and roots.ndim == 2)
+    stack = np.array([as_root_tuple(roots)]) if one else np.asarray(roots, dtype=complex)
+    if stack.shape[1] != 5 or not np.isfinite(stack).all():
+        raise InvalidInputError("expected rows of exactly 5 finite roots")
+    return stack, one
+
+
+def sqrt_discriminant(roots) -> complex | np.ndarray:
+    """Signed square root of the discriminant: prod over i<j of (x_i - x_j).
+
+    The sign is fixed by the labeling as given (no re-sorting); an odd
+    relabeling negates the value, an even one preserves it.  Each row of an
+    (N, 5) array gets its tuple's value, in Python's complex-product arithmetic.
+    """
+    stack, one = _root_stack(roots)
+    re, im, out_re, out_im = stack.real.T, stack.imag.T, 1.0, 0.0
     for i in range(5):
         for j in range(i + 1, 5):
             d_re, d_im = re[i] - re[j], im[i] - im[j]
             out_re, out_im = out_re * d_re - out_im * d_im, out_re * d_im + out_im * d_re
-    return out_re, out_im
-
-
-def sqrt_discriminant(roots: Sequence[complex]) -> complex:
-    """Signed square root of the discriminant: prod over i<j of (x_i - x_j).
-
-    The sign is fixed by the labeling as given (no re-sorting); an odd
-    relabeling negates the value, an even one preserves it.
-    """
-    rt = as_root_tuple(roots)
-    return complex(*_disc_parts([z.real for z in rt], [z.imag for z in rt]))
+    return complex(out_re[0], out_im[0]) if one else np.stack([out_re, out_im], 1).view(complex)[:, 0]
 
 
 def is_degenerate(roots) -> bool | np.ndarray:
     """True when the tuple has (near-)repeated roots by the |sqrt disc| floor.
-    An (N, 5) array gives each tuple its own verdict: ``numpy.hypot`` is the libm
+    An (N, 5) array gives each row its own verdict: ``numpy.hypot`` is the libm
     hypot behind Python's complex ``abs``, and the tenth powers are Python's."""
-    if not (isinstance(roots, np.ndarray) and roots.ndim == 2):
-        rt = as_root_tuple(roots)
-        return abs(sqrt_discriminant(rt)) < DEGENERACY_FLOOR * max(1.0, *map(abs, rt)) ** 10
-    disc_re, disc_im = _disc_parts(roots.real.T, roots.imag.T)
-    scale = np.maximum(1.0, np.hypot(roots.real, roots.imag).max(axis=1)).tolist()
-    return np.hypot(disc_re, disc_im) < DEGENERACY_FLOOR * np.array([s**10 for s in scale])
+    stack, one = _root_stack(roots)
+    disc = sqrt_discriminant(stack)
+    scale = np.maximum(1.0, np.hypot(stack.real, stack.imag).max(axis=1)).tolist()
+    verdicts = np.hypot(disc.real, disc.imag) < DEGENERACY_FLOOR * np.array([s**10 for s in scale])
+    return bool(verdicts[0]) if one else verdicts

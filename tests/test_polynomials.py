@@ -201,6 +201,20 @@ class TestSqrtDiscriminant:
         expected = -base if i != j else base
         assert abs(sqrt_discriminant(swapped) - expected) <= 1e-12 * abs(base)
 
+    def test_stack_rows_are_the_python_complex_product(self):
+        # Each row of a stack, and each single tuple, is bitwise the product
+        # taken one Python complex factor at a time.
+        tuples = [random_instance(3, index) for index in range(200)]
+        expected = []
+        for rt in tuples:
+            disc = 1.0 + 0j
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    disc *= rt[i] - rt[j]
+            expected.append(disc)
+        assert sqrt_discriminant(np.array(tuples)).tolist() == expected
+        assert [sqrt_discriminant(rt) for rt in tuples] == expected
+
 
 def _flip(verdict, near: float, far: float) -> tuple[float, float]:
     """Adjacent floats between ``near`` and ``far`` where ``verdict`` turns
@@ -254,3 +268,14 @@ class TestValidation:
     def test_root_tuple_length(self):
         with pytest.raises(InvalidInputError):
             sqrt_discriminant([1, 2, 3])
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_stack_of_other_than_five_roots_rejected(self, width):
+        with pytest.raises(InvalidInputError):
+            is_degenerate(np.arange(3 * width, dtype=complex).reshape(3, width))
+
+    def test_nonfinite_stack_rejected(self):
+        stack = np.arange(10, dtype=complex).reshape(2, 5)
+        stack[1, 2] = complex("nan")
+        with pytest.raises(InvalidInputError):
+            is_degenerate(stack)
