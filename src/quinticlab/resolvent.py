@@ -18,7 +18,7 @@ is triangular in (a, b, c): fitting uses s5, s3, s1 and the remaining three
 coefficients become genuine verification residuals.
 
 Sextic expansion and fit are array operations over rows, so one call covers a
-single family or the 120 relabelings of every sweep in a stack.
+single family or two relabelings, one even and one odd, of every sweep in a stack.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInstanceError, InvalidInputError, NumericFailureError
-from .ffamily import A5_IN_S5, S5_IMAGES, S5_PARITY, FFamily, family_sweep, s5_index
-from .polynomials import MonicPoly, as_root_tuple, expand_roots, is_degenerate, poly_from_roots
+from .ffamily import _F_CLASS, _F_SIGN, _SWEEP_ROWS, A5_IN_S5, S5_PARITY, FFamily, family_sweep
+from .polynomials import (MonicPoly, as_root_tuple, expand_roots, is_degenerate, poly_from_roots,
+                          sqrt_discriminant)
 
 __all__ = [
     "FitResiduals",
@@ -44,11 +45,16 @@ __all__ = [
     "two_valuedness_rows",
 ]
 
-# Rows of a sweep in S5_IMAGES order: the odd permutations, and for each row
-# sigma the row of tau o sigma, where tau is the first odd permutation.
-# tau o sigma has image sigma.image[tau.image].
+# The two rows fitted: the identity and the first odd relabeling.  Every even
+# row of a sweep holds row 0's six values, permuted and up to sign, and every
+# odd row those of the first odd row.  Sweep entry (p, j) is entry _COPY[p, j]
+# of the 24 signed values (the 12 of those rows, then their negations): the
+# one of its f class, with the relative sign of the two rows of S5.
 _ODD = np.flatnonzero(S5_PARITY == -1)
-_TAU_PARTNER = s5_index(S5_IMAGES[:, S5_IMAGES[_ODD[0]]])
+_FITTED = np.array([0, _ODD[0]])
+_classes = _F_CLASS[_SWEEP_ROWS]
+_k = (_classes[..., None] == _classes[_FITTED].ravel()).argmax(axis=-1)
+_COPY = _k + 12 * (_F_SIGN[_SWEEP_ROWS] != _F_SIGN[_SWEEP_ROWS[_FITTED]].ravel()[_k])
 _PAIRS = np.triu_indices(6, 1)
 
 
@@ -71,22 +77,19 @@ class ResolventCoeffs:
 
 @dataclass(frozen=True)
 class TwoValuednessReport:
-    """(a, b, c) swept over all 120 relabelings, grouped by parity.
+    """(a, b, c) on the even and on the odd relabelings.
 
-    ``even_triple`` is the reference from the identity labeling; all even
-    relabelings must reproduce it (spread = max relative deviation), all odd
-    ones must agree on ``odd_triple``.  ``pair_symmetric_spread`` checks that
-    the symmetric combinations (a + a', a*a', ...) of the unordered triple
-    pair are invariant under every relabeling of either parity.  ``fit`` is
-    the identity labeling's fit with its residuals, equal to
-    ``fit_abc(sextic_from_family(...))`` of that family.
+    ``even_triple`` is the identity labeling's, ``odd_triple`` the first odd
+    relabeling's; the spreads and the parity gap are those of
+    :func:`two_valuedness_rows`.  ``fit`` is the identity labeling's fit with
+    its residuals, equal to ``fit_abc(sextic_from_family(...))`` of that family.
     """
 
     even_triple: tuple[complex, complex, complex]
     odd_triple: tuple[complex, complex, complex]
     even_spread: float
     odd_spread: float
-    pair_symmetric_spread: float
+    parity_gap: float
     fit: ResolventCoeffs
 
 
@@ -191,39 +194,33 @@ def degree12_poly(coeffs: ResolventCoeffs) -> MonicPoly:
     return MonicPoly(tuple(out))
 
 
-def _rel_dev(rows: np.ndarray, ref: np.ndarray, one, floor) -> np.ndarray:
-    """Largest |rows - ref| relative to max(one, |ref|, floor), over each instance's rows."""
-    return (np.abs(rows - ref) / np.maximum(np.maximum(one, np.abs(ref)), floor)).max(axis=1)
+def two_valuedness_rows(roots, sweeps: np.ndarray) -> tuple:
+    """Two-valuedness of (a, b, c) for N root tuples (N, 5) and their sweeps (N, 120, 6).
 
-
-def two_valuedness_rows(sweeps: np.ndarray) -> tuple:
-    """Two-valuedness of (a, b, c) for each sweep of an (N, 120, 6) stack.
-
-    Row p of a sweep is the family of the tuple relabeled by row p of
-    ``S5_IMAGES``; one fit covers all N * 120 rows.  Returns the fit arrays
-    (a, b, c, r4, r2, r0) of shape (N, 120), column 0 the identity; the even,
-    odd and pair-symmetric spreads (N,); and per sweep None or its error.
-    A deviation counts relative to max(1, |reference|) but to no less than
-    1e-6 S^k, S = max(1, max|f|^2): the fit computes a, b, c (degrees k = 1,
-    3, 5 in the squares) from terms of size S^k, so they round by ~eps S^k.
+    One fit covers two rows per instance, the identity and the first odd
+    relabeling.  Returns the fit arrays (a, b, c, r4, r2, r0) of shape (N, 2),
+    column 0 the identity; the even spread, odd spread and parity gap (N,);
+    and per instance None or its error.  A spread is the largest distance of
+    an even (odd) row's entry from its signed copy among the fitted rows' 12
+    values, relative to the largest of those |f|.  The parity gap is
+    |a_even - a_odd + (sqrt 5 / 4) D| relative to max(S, |(sqrt 5 / 4) D|),
+    D = sqrt_discriminant(roots) and S the largest |f|^2 of the 12, which
+    bounds the terms a is summed from.
     """
-    fit = _fit_rows(expand_roots(f * f for f in np.moveaxis(sweeps, 2, 0)))
-    scale = np.maximum(1.0, np.abs(sweeps).max(axis=(1, 2)) ** 2)[:, None]
-    even = odd = sym = 0.0
-    for k, v in zip((1, 3, 5), fit):  # spreads: maxima over a, b, c, in units of S^k (1 is S^-k)
-        p, one = v / scale**k, scale**-k
-        even = np.maximum(even, _rel_dev(p[:, A5_IN_S5], p[:, :1], one, 1e-6))  # identity first
-        odd = np.maximum(odd, _rel_dev(p[:, _ODD], p[:, _ODD[:1]], one, 1e-6))
-        # Symmetric functions of the unordered pair {p(sigma), p(tau o sigma)}
-        # for a fixed odd tau must not depend on sigma; a product's floor is
-        # the coefficient's times twice its largest magnitude.
-        partner, size = p[:, _TAU_PARTNER], np.abs(p).max(axis=1, keepdims=True)
-        for pair, unit, floor in ((p + partner, one, 1e-6), (p * partner, one**2, 2e-6 * size)):
-            sym = np.maximum(sym, _rel_dev(pair, pair[:, :1], unit, floor))
+    fitted = sweeps[:, _FITTED]
+    fit = _fit_rows(expand_roots(f * f for f in np.moveaxis(fitted, 2, 0)))
+    values = fitted.reshape(-1, 12)
+    scale = np.abs(values).max(axis=1)
+    copies = np.concatenate([values, -values], axis=1)[:, _COPY]
+    copies -= sweeps
+    worst = np.abs(copies).max(axis=2)
+    spreads = [worst[:, rows].max(axis=1) / scale for rows in (A5_IN_S5, _ODD)]
+    delta = np.sqrt(5.0) / 4.0 * sqrt_discriminant(np.asarray(roots, dtype=complex))
+    gap = np.abs(fit[0][:, 0] - fit[0][:, 1] + delta) / np.maximum(scale**2, np.abs(delta))
     finite = np.logical_and.reduce([np.isfinite(p).all(axis=1) for p in fit[:3]])
     message = "fitted (a, b, c) are not finite"
     errors = [None if ok else NumericFailureError(message) for ok in finite]
-    return fit, (even, odd, sym), errors
+    return fit, (*spreads, gap), errors
 
 
 def two_valuedness_check(roots) -> TwoValuednessReport:
@@ -231,10 +228,9 @@ def two_valuedness_check(roots) -> TwoValuednessReport:
     rt = as_root_tuple(roots)
     if is_degenerate(rt):
         raise DegenerateInstanceError("two-valuedness needs distinct roots")
-    fit, spreads, (error,) = two_valuedness_rows(family_sweep(rt)[None])
+    fit, spreads, (error,) = two_valuedness_rows([rt], family_sweep(rt)[None])
     if error:
         raise error
-    even_triple = tuple(complex(v[0, 0]) for v in fit[:3])
-    odd_triple = tuple(complex(v[0, _ODD[0]]) for v in fit[:3])
+    even_triple, odd_triple = (tuple(complex(v[0, i]) for v in fit[:3]) for i in (0, 1))
     return TwoValuednessReport(even_triple, odd_triple, *(float(s[0]) for s in spreads),
                                fit=_coeffs_at(fit, (0, 0)))

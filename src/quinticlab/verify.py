@@ -2,8 +2,8 @@
 collected into a machine-readable report with a stable schema.
 
 Per instance: orbit count and sign pairing, fit residuals of the resolvent
-form, two-valuedness spreads, principal-form suppressed coefficients, and
-power sums, all read from one sweep of the family over the 120 relabelings.
+form, two-valuedness spreads and parity gap, principal-form suppressed
+coefficients and power sums, all read from one sweep over the 120 relabelings.
 Per batch: the rank test on stacked family rows and the square-sum control
 fraction.  The record schema does not vary with pass/fail; checks
 that could not run carry null values plus an entry in ``failures``.
@@ -35,7 +35,7 @@ RESIDUAL_TOL = 1e-6  # fit residuals and form-membership residuals
 SPREAD_TOL = 1e-7  # two-valuedness spreads, suppressed coefficients, power sums
 # Every named tolerance at its default, in the order of the report's meta.tolerances.
 TOLERANCES = {"dedup": DEDUP_TOL, "residual": RESIDUAL_TOL, "rank": RANK_TOL,
-              "spread": SPREAD_TOL, "newton_bridge": 1e-10}
+              "spread": SPREAD_TOL, "newton_bridge": 1e-10, "parity": 1e-10}
 P2_CONTROL_FLOOR = 1e-3
 P2_CONTROL_FRACTION = 0.95
 SQUARE_GAP_FLOOR = 1e-6
@@ -44,7 +44,7 @@ CHUNK = 1000  # instances sampled, swept and checked together
 _SECTIONS = {  # the record's sections and fields, null until a check fills them
     "orbit": ("count", "pairing_ok", "family_match_ok"),
     "fit": ("r4", "r2", "r0", "form_residual_max", "square_gap", "clustered_squares"),
-    "two_valuedness": ("even_spread", "odd_spread", "pair_symmetric_spread"),
+    "two_valuedness": ("even_spread", "odd_spread", "parity_gap"),
     "principal": ("s5_value_count", "c4_mag", "c2_mag", "p1", "p3", "p2_magnitude",
                   "newton_gap4", "newton_gap2"),
 }
@@ -56,8 +56,10 @@ CRITERIA = (
      "fit: over-determination residuals above tolerance"),
     ("fit", ("form_residual_max",), "residual",
      "fit: orbit values do not satisfy the form"),
-    ("two_valuedness", ("even_spread", "odd_spread", "pair_symmetric_spread"), "spread",
+    ("two_valuedness", ("even_spread", "odd_spread"), "spread",
      "two-valuedness: spreads above tolerance"),
+    ("two_valuedness", ("parity_gap",), "parity",
+     "two-valuedness: parity gap above tolerance"),
     ("principal", ("c4_mag", "c2_mag"), "spread",
      "principal: suppressed coefficients above tolerance"),
     ("principal", ("p1", "p3"), "spread",
@@ -122,9 +124,9 @@ def verify_sweep(
     """All per-instance checks on N non-degenerate root tuples; returns the records.
 
     Every check reads ``sweeps = family_sweep(roots)``, shape (N, 120, 6): the
-    orbit, the family (row 0, the identity) and one fit of all N * 120
-    relabelings, whose identity rows are the instances' fits.  Each
-    measurement is an array operation over the N instances.  A record's
+    orbit, the family (row 0, the identity) and one fit of two relabelings per
+    instance, whose identity rows are the instances' fits.  Each measurement
+    is an array operation over the N instances.  A record's
     failures are, section by section, the error that stopped the section's
     checks or else its failed ``CRITERIA`` rows, the same whatever N is.
     """
@@ -132,7 +134,7 @@ def verify_sweep(
     with np.errstate(all="ignore"):  # a non-finite value fails its own instance's gates
         family = sweeps[:, 0]
         orbit_values, orbit_errors = orbit_check(sweeps[:, A5_IN_S5, 0], family, tol_dedup)
-        fit, spreads, fit_errors = two_valuedness_rows(sweeps)
+        fit, spreads, fit_errors = two_valuedness_rows(roots, sweeps)
         a, b, c, r4, r2, r0 = (v[:, 0, None] for v in fit)
         form = resolvent_form_residual(orbit_values * orbit_values, a, b, c).max(axis=1)
         phis, phi_errors = product_values(sweeps, tol_dedup)
@@ -150,19 +152,18 @@ def verify_sweep(
     z = np.asarray(roots, dtype=complex)
     records, pairs = [], np.stack([z.real, z.imag], axis=-1).tolist()  # [re, im] per root
     for i, values in enumerate(zip(*(col.tolist() for col in columns))):
-        r4, r2, r0, gap, form, even, odd, sym, c4, c2, p1, p3, p2, gap4, gap2 = values
+        r4, r2, r0, gap, form, even, odd, parity, c4, c2, p1, p3, p2, gap4, gap2 = values
         record = _empty_record(pairs[i])
         if not orbit_errors[i]:
             record["orbit"].update(count=12, pairing_ok=True, family_match_ok=True)
-        # The fit is row 0 of two-valuedness's 120-row fit, so a failure of that
+        # The fit is row 0 of two-valuedness's two-row fit, so a failure of that
         # fit stops both checks.
         if not fit_errors[i]:
             record["fit"].update(r4=r4, r2=r2, r0=r0, square_gap=gap,
                                  clustered_squares=gap < SQUARE_GAP_FLOOR)
             if not orbit_errors[i]:
                 record["fit"]["form_residual_max"] = form
-            record["two_valuedness"].update(even_spread=even, odd_spread=odd,
-                                            pair_symmetric_spread=sym)
+            record["two_valuedness"].update(even_spread=even, odd_spread=odd, parity_gap=parity)
         if not phi_errors[i]:
             record["principal"]["s5_value_count"] = 10
         principal_error = phi_errors[i] or quintic_errors[i]

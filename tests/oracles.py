@@ -33,8 +33,8 @@ arithmetic.
 ``verify_reference`` is the scalar verifier that the batched one replaced:
 it checks one instance at a time, in Python scalars where it did, and builds
 the same report.  It applies the current rules: count thresholds relative to
-the values, and two-valuedness deviations measured against no less than
-1e-6 of S, S^3 and S^5.
+the values, and two-valuedness as copy spreads, each copy found by value, and
+a parity gap with the discriminant root as a Python complex product.
 """
 
 import itertools
@@ -82,13 +82,7 @@ from quinticlab.principal import (
     newton_gap_rows,
     product_values,
 )
-from quinticlab.resolvent import (
-    _ODD,
-    _TAU_PARTNER,
-    TwoValuednessReport,
-    _coeffs_at,
-    two_valuedness_rows,
-)
+from quinticlab.resolvent import TwoValuednessReport, _coeffs_at, two_valuedness_rows
 
 DPS = 50
 
@@ -530,18 +524,18 @@ def phi_values_from_sweep(sweep, tol: float = DEDUP_TOL) -> PhiFamily:
     return PhiFamily(values=tuple(complex(v) for v in values[0]), s5_value_count=10)
 
 
-def two_valuedness_from_sweep(sweep) -> TwoValuednessReport:
-    """The package's ``two_valuedness_rows`` of one sweep; raises its error."""
-    fit, spreads, (error,) = two_valuedness_rows(sweep[None])
+def two_valuedness_from_sweep(roots, sweep) -> TwoValuednessReport:
+    """The package's ``two_valuedness_rows`` of one tuple and its sweep; raises its error."""
+    fit, spreads, (error,) = two_valuedness_rows([roots], sweep[None])
     if error:
         raise error
-    even, odd, sym = (float(s[0]) for s in spreads)
+    even, odd, gap = (float(s[0]) for s in spreads)
     return TwoValuednessReport(
         even_triple=tuple(complex(v[0, 0]) for v in fit[:3]),
-        odd_triple=tuple(complex(v[0, _ODD[0]]) for v in fit[:3]),
+        odd_triple=tuple(complex(v[0, 1]) for v in fit[:3]),
         even_spread=even,
         odd_spread=odd,
-        pair_symmetric_spread=sym,
+        parity_gap=gap,
         fit=_coeffs_at(fit, (0, 0)),
     )
 
@@ -555,7 +549,7 @@ def newton_bridge_gaps(pf: PhiFamily, quintic) -> tuple[float, float]:
 
 # The scalar verifier: one instance at a time, each check on its own.
 
-_SPREAD_TOL, _NEWTON_TOL = 1e-7, 1e-10
+_SPREAD_TOL, _NEWTON_TOL, _PARITY_TOL = 1e-7, 1e-10, 1e-10
 
 
 def _scalar_class_values(values, classes, tol):
@@ -582,10 +576,46 @@ def _scalar_orbit(sweep, tol):
     return values
 
 
-def _scalar_two_valuedness(sweep):
-    """(a, b, c, r4, r2, r0) of the identity row and the three spreads."""
-    squares = sweep * sweep
-    coeffs = np.zeros((120, 7), dtype=complex)
+def _first_odd_row() -> int:
+    return next(i for i, img in enumerate(itertools.permutations(range(5))) if _parity(img) == -1)
+
+
+def copy_spreads_reference(sweep) -> tuple[float, float]:
+    """The even and odd copy spreads of one sweep, each copy found by value.
+
+    Every entry of an even (odd) row is matched with the nearest of the
+    identity row's (the first odd row's) six values and their negations.  A
+    spread is the largest such distance over the rows of its parity, relative
+    to the largest |f| among the 12 values of those two rows.
+    """
+    images = list(itertools.permutations(range(5)))
+    references = {1: sweep[0], -1: sweep[_first_odd_row()]}
+    scale = max(abs(complex(v)) for row in references.values() for v in row)
+    worst = {1: 0.0, -1: 0.0}
+    for image, row in zip(images, sweep):
+        parity = _parity(image)
+        signed = np.concatenate([references[parity], -references[parity]])
+        nearest = np.abs(row[:, None] - signed[None, :]).min(axis=1)
+        worst[parity] = max(worst[parity], float(nearest.max()))
+    return worst[1] / scale, worst[-1] / scale
+
+
+def parity_gap_reference(roots, a_even, a_odd, scale) -> float:
+    """|a_even - a_odd + (sqrt 5 / 4) D| relative to max(scale^2, |(sqrt 5 / 4) D|),
+    with D = prod_{i<j} (x_i - x_j) as a Python complex product."""
+    disc = 1.0 + 0j
+    for i, j in itertools.combinations(range(5), 2):
+        disc *= complex(roots[i]) - complex(roots[j])
+    quarter = 5.0**0.5 / 4.0 * disc
+    return abs(a_even - a_odd + quarter) / max(scale * scale, abs(quarter))
+
+
+def _scalar_two_valuedness(roots, sweep):
+    """(a, b, c, r4, r2, r0) of the identity row, and the two copy spreads and
+    the parity gap."""
+    fitted = sweep[[0, _first_odd_row()]]
+    squares = fitted * fitted
+    coeffs = np.zeros((2, 7), dtype=complex)
     coeffs[:, 0] = 1.0
     for root in squares.T:
         coeffs[:, 1:] = coeffs[:, 1:] - root[:, None] * coeffs[:, :-1]
@@ -597,28 +627,12 @@ def _scalar_two_valuedness(sweep):
     r2 = np.abs(s2 - 55.0 * a**4 - 30.0 * a * b) / np.maximum(1.0, np.abs(s2))
     r0 = np.abs(s0 - 5.0 * a**6 - 10.0 * a**3 * b - 5.0 * b**2) / np.maximum(1.0, np.abs(s0))
     rows = (a, b, c, r4, r2, r0)
-    triples = np.stack(rows[:3], axis=1)
-    if not np.isfinite(triples).all():
+    if not np.isfinite(np.stack(rows[:3])).all():
         raise NumericFailureError("fitted (a, b, c) are not finite")
-    # a, b, c in units of S, S^3, S^5, S = max(1, max|f|^2) of the sweep; a
-    # deviation is relative to max(1, |ref|) in the coefficient's own units, but
-    # to no less than 1e-6 of its unit (pair products: 2e-6 of its largest
-    # magnitude, in those units).
-    scale = np.maximum(1.0, np.abs(sweep).max(keepdims=True) ** 2)
-    triples = np.stack([v / scale[0] ** k for k, v in zip((1, 3, 5), rows)], axis=1)
-    ones = np.concatenate([scale[0] ** -k for k in (1, 3, 5)])
-    floors = np.full(3, 1e-6)
-
-    def rel_dev(rows, ref, one, floor):
-        return float((np.abs(rows - ref) / np.maximum(np.maximum(one, np.abs(ref)), floor)).max())
-
-    partners = triples[_TAU_PARTNER]
-    sym = np.concatenate([triples + partners, triples * partners], axis=1)
-    sym_floors = np.concatenate([floors, 2 * floors * np.abs(triples).max(axis=0)])
-    spreads = (rel_dev(triples[A5_IN_S5], triples[0], ones, floors),
-               rel_dev(triples[_ODD], triples[_ODD[0]], ones, floors),
-               rel_dev(sym, sym[0], np.concatenate([ones, ones**2]), sym_floors))
-    return [complex(v[0]) for v in rows[:3]] + [float(v[0]) for v in rows[3:]], spreads
+    scale = max(abs(complex(v)) for v in fitted.ravel())
+    gap = parity_gap_reference(roots, complex(a[0]), complex(a[1]), scale)
+    return ([complex(v[0]) for v in rows[:3]] + [float(v[0]) for v in rows[3:]],
+            (*copy_spreads_reference(sweep), gap))
 
 
 def _scalar_square_gap(family):
@@ -690,7 +704,7 @@ def _reference_record(roots, skipped: bool) -> dict:
         "orbit": dict.fromkeys(("count", "pairing_ok", "family_match_ok")),
         "fit": dict.fromkeys(("r4", "r2", "r0", "form_residual_max", "square_gap",
                               "clustered_squares")),
-        "two_valuedness": dict.fromkeys(("even_spread", "odd_spread", "pair_symmetric_spread")),
+        "two_valuedness": dict.fromkeys(("even_spread", "odd_spread", "parity_gap")),
         "principal": dict.fromkeys(("s5_value_count", "c4_mag", "c2_mag", "p1", "p3",
                                     "p2_magnitude", "newton_gap4", "newton_gap2")),
         "failures": [],
@@ -709,7 +723,7 @@ def verify_sweep_reference(roots, sweep, tol_residual=1e-6, tol_dedup=DEDUP_TOL)
         orbit = None
         failures.append(f"orbit: {exc}")
     try:
-        (a, b, c, r4, r2, r0), spreads = _scalar_two_valuedness(sweep)
+        (a, b, c, r4, r2, r0), spreads = _scalar_two_valuedness(roots, sweep)
     except QuinticLabError as exc:
         spreads = None
         failures += [f"fit: {exc}", f"two-valuedness: {exc}"]
@@ -724,8 +738,10 @@ def verify_sweep_reference(roots, sweep, tol_residual=1e-6, tol_dedup=DEDUP_TOL)
             if form > tol_residual:
                 failures.append("fit: orbit values do not satisfy the form")
         record["two_valuedness"].update(zip(record["two_valuedness"], spreads))
-        if max(spreads) > _SPREAD_TOL:
+        if max(spreads[:2]) > _SPREAD_TOL:
             failures.append("two-valuedness: spreads above tolerance")
+        if spreads[2] > _PARITY_TOL:
+            failures.append("two-valuedness: parity gap above tolerance")
     try:
         values = _scalar_phi_values(sweep, tol_dedup)
         record["principal"]["s5_value_count"] = 10

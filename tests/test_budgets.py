@@ -58,8 +58,9 @@ def test_verify_work_per_instance(monkeypatch):
     # of every instance, whose 720 entries per instance are the sweep of 120
     # relabelings x 6 family members.  The orbit and product-value counts
     # come from constant class tables, with no clustering.  Two expansions:
-    # the 120 sextics of every instance, and the principal quintic of every
-    # instance's five product values.
+    # two sextics of every instance, the identity's and the first odd
+    # relabeling's, and the principal quintic of every instance's five
+    # product values.
     n = 50
     rows = _tally_calls(monkeypatch, kernels.eval_f_rows, _kernel_rows)
     expansions = _tally_calls(monkeypatch, polynomials.expand_roots, _polynomials)
@@ -70,12 +71,12 @@ def test_verify_work_per_instance(monkeypatch):
     assert report["summary"]["ok"]
     assert report["summary"]["skipped"] == []
     assert rows == [120 * n]
-    assert sorted(expansions) == [n, 120 * n]
+    assert sorted(expansions) == [n, 2 * n]
     assert clusterings == []
 
 
 def test_verify_fits_once_per_instance(monkeypatch):
-    # The instance's fit is row 0 (the identity) of the 120-row fit that
+    # The instance's fit is row 0 (the identity) of the two-row fit that
     # two-valuedness makes, so verify never fits a single sextic.
     fits = _tally_calls(monkeypatch, resolvent.fit_abc)
 

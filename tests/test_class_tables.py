@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quinticlab import NumericFailureError, a5_orbit, phi_values, random_instance
-from quinticlab import ffamily
+from quinticlab import ffamily, resolvent
 from quinticlab.clustering import cluster_values, first_occurrence
 from quinticlab.ffamily import (
     _FAMILY_MATCH,
@@ -86,6 +86,20 @@ def test_product_tables_follow_from_the_formula():
     products = [product(p) for p in range(120)]
     assert np.array_equal(first_occurrence(products), _PHI_CLASS_S5)
     assert np.array_equal(first_occurrence([products[p] for p in A5_IN_S5]), _PHI_CLASS_A5)
+
+
+def test_copy_table_equals_the_nearest_signed_values(sweeps):
+    # Every entry of a sweep is, by value, one of the 12 values of the
+    # identity row and the first odd row, or a negation of one: the one that
+    # resolvent._COPY names, in the 24 signed values numbered as it numbers
+    # them.  Even rows match only row 0's values, odd rows only the odd row's.
+    odd = np.flatnonzero(S5_PARITY == -1)[0]
+    for sweep in sweeps:
+        values = np.concatenate([sweep[0], sweep[odd]])
+        signed = np.concatenate([values, -values])
+        nearest = np.abs(sweep[..., None] - signed).argmin(axis=-1)
+        assert np.array_equal(nearest, resolvent._COPY)
+    assert np.array_equal(resolvent._COPY[A5_IN_S5] % 12 < 6, np.ones((60, 6), dtype=bool))
 
 
 def test_table_path_equals_clustering_path_on_1000_instances():

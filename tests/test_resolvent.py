@@ -21,14 +21,15 @@ from quinticlab import (
 from quinticlab.ffamily import FFamily, family_sweep
 from quinticlab.instances import random_instance
 from quinticlab import resolvent
-from quinticlab.ffamily import A5_IN_S5, S5_PARITY
-from quinticlab.resolvent import _TAU_PARTNER, square_gap
+from quinticlab.ffamily import S5_PARITY
+from quinticlab.resolvent import square_gap
 
 from oracles import (
     all_s5,
-    compose,
+    copy_spreads_reference,
     eval_poly,
     eval_resolvent_form,
+    parity_gap_reference,
     two_valuedness_from_sweep,
     two_valuedness_reference,
 )
@@ -164,7 +165,7 @@ class TestTwoValuedness:
         _, tv = report
         assert tv.even_spread < 1e-7
         assert tv.odd_spread < 1e-7
-        assert tv.pair_symmetric_spread < 1e-7
+        assert tv.parity_gap < 1e-10
 
     def test_even_and_odd_triples_differ(self, report):
         _, tv = report
@@ -180,40 +181,45 @@ class TestTwoValuedness:
 
 
 class TestArrayCore:
-    """The array reductions against the loop reference in tests/oracles.py.
+    """The array reductions against the loop references in tests/oracles.py.
 
     Bounds are fixed from complex128: the array and loop forms differ only in
     operation order, by ~1e-13 on these instances.
     """
 
     TRIPLE_REL = 1e-10
-    SPREAD_ABS = 1e-10
+    SPREAD_ABS = 1e-13
 
     @pytest.mark.parametrize("index", range(50))
     def test_matches_loop_reference(self, index):
-        sweep = family_sweep(random_instance(2024, index))
-        got = two_valuedness_from_sweep(sweep)
+        # The two fitted triples are those of the 120 fits of the reference,
+        # whose spreads stay under the gate; the copy spreads and the parity
+        # gap equal the references that find each copy by value.
+        roots = random_instance(2024, index)
+        sweep = family_sweep(roots)
+        got = two_valuedness_from_sweep(roots, sweep)
         want = two_valuedness_reference(sweep)
         for name in ("even_triple", "odd_triple"):
             for x, r in zip(getattr(got, name), want[name]):
                 assert abs(x - r) <= self.TRIPLE_REL * abs(r)
-        for name in ("even_spread", "odd_spread", "pair_symmetric_spread"):
-            assert abs(getattr(got, name) - want[name]) <= self.SPREAD_ABS
+        assert max(want["even_spread"], want["odd_spread"], want["pair_symmetric_spread"]) < 1e-7
+        spreads = copy_spreads_reference(sweep)
+        assert abs(got.even_spread - spreads[0]) <= self.SPREAD_ABS
+        assert abs(got.odd_spread - spreads[1]) <= self.SPREAD_ABS
+        scale = float(np.abs(sweep[[0, np.flatnonzero(S5_PARITY == -1)[0]]]).max())
+        gap = parity_gap_reference(roots, got.even_triple[0], got.odd_triple[0], scale)
+        assert abs(got.parity_gap - gap) <= self.SPREAD_ABS
 
     def test_identity_row_fit_is_the_single_fit(self):
-        # Row operations do not depend on the batch, so row 0 of the 120-row
+        # Row operations do not depend on the batch, so row 0 of the two-row
         # fit equals the fit of the identity family alone, bitwise.
         for index in range(200):
             roots = random_instance(7, index)
-            got = two_valuedness_from_sweep(family_sweep(roots)).fit
+            got = two_valuedness_from_sweep(roots, family_sweep(roots)).fit
             assert got == fit_abc(sextic_from_family(f_family(roots))), index
 
-    def test_parity_and_partner_tables(self):
-        perms = all_s5()
-        assert list(S5_PARITY) == [p.parity for p in perms]
-        index_of = {p.image: i for i, p in enumerate(perms)}
-        tau = next(p for p in perms if p.parity == -1)
-        assert list(_TAU_PARTNER) == [index_of[compose(tau, p).image] for p in perms]
+    def test_parity_table(self):
+        assert list(S5_PARITY) == [p.parity for p in all_s5()]
 
     def test_sextic_rows_match_poly_from_roots(self, seeded_roots):
         from quinticlab import poly_from_roots
@@ -229,40 +235,36 @@ def test_square_gap_is_generically_large(seeded_roots):
     assert square_gap(f_family(seeded_roots).values()) > 1e-6
 
 
-class TestSpreadFloor:
-    """Spreads count deviations against max(1, |ref|), or 1e-6 S^k when larger.
+class TestCopySpread:
+    """A spread counts an entry's deviation from its signed copy among the
+    fitted rows' 12 values against the largest |f| of those 12, so it is free
+    of the roots' scale.
 
-    On this sampled instance S = max|f|^2 = 24.5 and c = 7.8e-5 at the
-    identity, against S^5 = 8.8e6: the fit's rounding moved c by 1.5e-10
-    across the even rows and the product of the pair (c, c') by 2.4e-7,
-    which an absolute 1e-7 read as a two-valuedness failure.
+    On this sampled instance c = 7.8e-5 against S^5 = 8.8e6, and the fit's
+    rounding moved the pair product (c, c') of the 120 fits by 2.4e-7, which
+    an absolute 1e-7 read as a two-valuedness failure.  The copy spreads do
+    not see c at all.
     """
 
     ROOTS = random_instance(2641972118475640975, 69)
 
-    def spreads(self, monkeypatch, coefficient: int, delta: float) -> list[float]:
-        """The three spreads with ``delta`` added to one even row of a, b or c."""
-        fit_rows = resolvent._fit_rows
+    def spreads(self, row: int, delta: float) -> tuple[float, float, float]:
+        """Both spreads and the parity gap with entry (row, 3) moved by ``delta`` max|f|."""
+        sweep = family_sweep(self.ROOTS)
+        scale = np.abs(sweep[[0, np.flatnonzero(S5_PARITY == -1)[0]]]).max()
+        sweep[row, 3] += delta * scale
+        _, spreads, _ = resolvent.two_valuedness_rows([self.ROOTS], sweep[None])
+        return tuple(float(s[0]) for s in spreads)
 
-        def shifted(coeffs):
-            fit = list(fit_rows(coeffs))
-            fit[coefficient] = fit[coefficient] + delta * (np.arange(120) == A5_IN_S5[1])
-            return tuple(fit)
-
-        monkeypatch.setattr(resolvent, "_fit_rows", shifted)
-        _, spreads, _ = resolvent.two_valuedness_rows(family_sweep([self.ROOTS]))
-        return [float(s[0]) for s in spreads]
-
-    def test_rounding_of_a_small_coefficient_passes(self, monkeypatch):
-        assert max(self.spreads(monkeypatch, 2, 0.0)) < 1e-7
+    def test_rounding_passes(self):
+        even, odd, gap = self.spreads(0, 0.0)
+        assert max(even, odd) < 1e-7
+        assert gap < 1e-10
 
     @pytest.mark.parametrize("factor, fails", [(0.5, False), (2.0, True)])
-    def test_a_small_coefficient_may_move_by_1e_13_s5(self, monkeypatch, factor, fails):
-        s5 = max(1.0, float(np.abs(family_sweep(self.ROOTS)).max()) ** 2) ** 5
-        even = self.spreads(monkeypatch, 2, factor * 1e-13 * s5)[0]
-        assert (even > 1e-7) == fails
-
-    def test_where_1e_6_s3_is_below_1_the_gate_is_absolute(self, monkeypatch):
-        # b = 0.017 and 1e-6 S^3 = 0.015, so b is gated at an absolute 1e-7.
-        assert self.spreads(monkeypatch, 1, 0.5e-7)[0] < 1e-7
-        assert self.spreads(monkeypatch, 1, 2e-7)[0] > 1e-7
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_an_entry_may_move_by_1e_7_of_max_f(self, factor, fails, parity):
+        row = int(np.flatnonzero(S5_PARITY == parity)[5])
+        even, odd, _ = self.spreads(row, factor * 1e-7)
+        assert ((even if parity == 1 else odd) > 1e-7) == fails
+        assert (odd if parity == 1 else even) < 1e-13

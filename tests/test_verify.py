@@ -68,11 +68,14 @@ def test_small_batch_skips_rank_test():
     assert verify.rank_test(rows)[0]["rank"] == 3
 
 
+_ODD = np.flatnonzero(S5_PARITY == -1)
+_EVEN = np.flatnonzero(S5_PARITY == 1)
+
+
 def _doctored_stack(k: int = 3, n: int = 8):
     """Roots and sweeps of n instances, and the odd row to doctor in instance k."""
     roots = [random_instance(17, i) for i in range(n)]
-    odd_row = int((S5_PARITY == -1).nonzero()[0][3])
-    return roots, family_sweep(np.array(roots)), k, odd_row
+    return roots, family_sweep(np.array(roots)), k, int(_ODD[3])
 
 
 def test_perturbed_odd_row_fails_two_valuedness():
@@ -91,21 +94,55 @@ def test_perturbed_odd_row_fails_two_valuedness():
     assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
 
 
+@pytest.mark.parametrize("row, column, spread", [
+    (int(_EVEN[7]), 2, "even_spread"),
+    (int(_EVEN[-1]), 5, "even_spread"),
+    (int(_ODD[1]), 0, "odd_spread"),
+    (int(_ODD[-1]), 4, "odd_spread"),
+])
+def test_one_doctored_entry_fails_the_spread_row(row, column, spread):
+    # Two fits read only rows 0 and _ODD[0]; the copy gate reads every entry,
+    # so one entry of one unfitted row moved by 1e-6 fails its instance on
+    # the spread row, and on no other row of the fit and two-valuedness.  The
+    # product-value count reads every row too, and rejects it as well.
+    roots, sweeps, k, _ = _doctored_stack()
+    clean = verify_sweep(roots, sweeps)
+    sweeps[k, row, column] *= 1.0 + 1e-6
+    records = verify_sweep(roots, sweeps)
+    assert records[k]["two_valuedness"][spread] > SPREAD_TOL
+    assert records[k]["fit"] == clean[k]["fit"]
+    assert records[k]["two_valuedness"]["parity_gap"] == clean[k]["two_valuedness"]["parity_gap"]
+    assert [f for f in records[k]["failures"] if not f.startswith("principal: ")] == [
+        "two-valuedness: spreads above tolerance"]
+    assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sweep
 def test_failed_shared_fit_fails_fit_and_two_valuedness():
-    # The instance's fit is row 0 of the 120-row fit, so a non-finite triple
-    # on any row fails both checks, in the report's check order, for that
-    # instance alone.
+    # The instance's fit is row 0 of the two-row fit, the identity and
+    # _ODD[0], so a non-finite triple on either row fails both checks, in the
+    # report's check order, for that instance alone.  Any other row is not
+    # fitted: a non-finite entry there leaves the fit as it was and fails the
+    # copy spreads (and the product values, whose count reads every row).
     roots, sweeps, k, odd_row = _doctored_stack()
     clean = verify_sweep(roots, sweeps)
-    sweeps[k, odd_row] = float("inf")
-    records = verify_sweep(roots, sweeps)
+    fitted = sweeps.copy()
+    fitted[k, _ODD[0]] = float("inf")
+    records = verify_sweep(roots, fitted)
     assert records[k]["fit"]["r4"] is None
     assert records[k]["two_valuedness"]["odd_spread"] is None
     assert records[k]["failures"][:2] == [
         "fit: fitted (a, b, c) are not finite",
         "two-valuedness: fitted (a, b, c) are not finite",
     ]
+    assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
+
+    sweeps[k, odd_row] = float("inf")
+    records = verify_sweep(roots, sweeps)
+    assert records[k]["fit"] == clean[k]["fit"]
+    assert records[k]["two_valuedness"]["odd_spread"] == float("inf")
+    assert records[k]["failures"][0] == "two-valuedness: spreads above tolerance"
+    assert records[k]["failures"][1].startswith("principal: ambiguous count")
     assert records[:k] + records[k + 1 :] == clean[:k] + clean[k + 1 :]
 
 
@@ -116,9 +153,9 @@ def test_single_instance_record_is_the_batched_record():
 
 
 # Both verifiers compute these with the same array operations, so they agree
-# bitwise.  The reference computes the other floats with Python arithmetic or
-# np.convolve, so they may differ in the last bits.
-_BITWISE = {"r4", "r2", "r0", "even_spread", "odd_spread", "pair_symmetric_spread"}
+# bitwise.  The reference computes the other floats with Python arithmetic,
+# np.convolve or copies found by value, so they may differ in the last bits.
+_BITWISE = {"r4", "r2", "r0"}
 
 
 def _assert_matches_reference(got, want, key=""):
@@ -139,8 +176,8 @@ def _assert_matches_reference(got, want, key=""):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_records_match_the_scalar_reference(seed):
     # 4 x 500 instances: verdicts, failure lists, counts, the summary and the
-    # rank test are identical to the one-at-a-time verifier; r4, r2, r0 and
-    # the spreads are bitwise equal, and every other float within 1e-13.
+    # rank test are identical to the one-at-a-time verifier; r4, r2 and r0
+    # are bitwise equal, and every other float within 1e-13.
     got = run_verify(seed, 500)
     want = verify_reference(seed, 500)
     assert got["summary"] == want["summary"]
@@ -208,7 +245,7 @@ def test_tolerances_are_the_table_the_readme_states():
     assert defaults == verify.TOLERANCES
     assert list(run_verify(23, 3)["meta"]["tolerances"].items()) == [
         ("dedup", 1e-7), ("residual", 1e-6), ("rank", 1e-6), ("spread", 1e-7),
-        ("newton_bridge", 1e-10),
+        ("newton_bridge", 1e-10), ("parity", 1e-10),
     ]
 
 
@@ -246,11 +283,11 @@ def _nan_form_residual(k):
 def _nan_even_spread(k):
     real = verify.two_valuedness_rows
 
-    def doctored(sweeps):
-        fit, (even, odd, sym), errors = real(sweeps)
+    def doctored(roots, sweeps):
+        fit, (even, odd, gap), errors = real(roots, sweeps)
         even = even.copy()
         even[k] = np.nan
-        return fit, (even, odd, sym), errors
+        return fit, (even, odd, gap), errors
 
     return doctored
 
